@@ -2,13 +2,15 @@
 
 Everything here deliberately avoids the package's own algorithms: trees
 come from Prufer sequences, line graphs from the textbook definition,
-blocks from a recursive lowpoint DFS, and component counts from a
-union-find.
+blocks from a recursive lowpoint DFS, component counts from a
+union-find, and eigenvalues from a cyclic Jacobi iteration rather than the
+LAPACK routine the package calls.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 import sys
 
 import numpy as np
@@ -161,3 +163,68 @@ def cartesian_adjacency_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                     if (u == v and b[i, j]) or (i == j and a[u, v]):
                         out[u * nb + i, v * nb + j] = True
     return out
+
+
+# ---- cyclic Jacobi eigensolver ----
+# Fixed (p, q) sweep order, sweeps until the off-diagonal Frobenius norm
+# drops below 1e-12 * (1 + ||M||_F), hard cap of 100 sweeps. Slow, but it
+# shares no code with LAPACK and has high relative accuracy.
+
+_SWEEP_TOL = 1e-12
+_MAX_SWEEPS = 100
+
+
+def _offdiag_norm(a: np.ndarray) -> float:
+    # summing the off-diagonal entries directly avoids the cancellation a
+    # full-norm-minus-diagonal formula would hit once the matrix is nearly
+    # diagonal
+    b = a.copy()
+    np.fill_diagonal(b, 0.0)
+    return math.sqrt(float((b * b).sum()))
+
+
+def jacobi(mat, want_vectors: bool = False):
+    """(ascending eigenvalues, eigenvector columns or None) of a symmetric
+    matrix by cyclic Jacobi rotations."""
+    a = np.array(mat, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError("need a square matrix")
+    if not np.array_equal(a, a.T):
+        raise ValueError("matrix is not symmetric")
+    n = a.shape[0]
+    v = np.eye(n) if want_vectors else None
+    thresh = _SWEEP_TOL * (1.0 + math.sqrt(float((a * a).sum())))
+    for _sweep in range(_MAX_SWEEPS):
+        if _offdiag_norm(a) <= thresh:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p, q]
+                if apq == 0.0:
+                    continue
+                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
+                t = (1.0 if tau >= 0.0 else -1.0) / (abs(tau) + math.hypot(1.0, tau))
+                c = 1.0 / math.sqrt(t * t + 1.0)
+                s = t * c
+                col_p = a[:, p].copy()
+                col_q = a[:, q].copy()
+                a[:, p] = c * col_p - s * col_q
+                a[:, q] = s * col_p + c * col_q
+                row_p = a[p, :].copy()
+                row_q = a[q, :].copy()
+                a[p, :] = c * row_p - s * row_q
+                a[q, :] = s * row_p + c * row_q
+                a[p, q] = a[q, p] = 0.0
+                if v is not None:
+                    vp = v[:, p].copy()
+                    vq = v[:, q].copy()
+                    v[:, p] = c * vp - s * vq
+                    v[:, q] = s * vp + c * vq
+    else:
+        if _offdiag_norm(a) > thresh:
+            raise RuntimeError(f"Jacobi did not converge in {_MAX_SWEEPS} sweeps")
+    diag = np.diag(a).copy()
+    order = np.argsort(diag, kind="stable")
+    if v is None:
+        return diag[order], None
+    return diag[order], v[:, order]

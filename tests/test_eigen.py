@@ -24,7 +24,9 @@ from spectree.eigen import (
     union_with_multiplicity,
 )
 from spectree.families import (
+    beta_m,
     complete_graph,
+    enumerate_free_trees,
     kronecker,
     line_graph,
     star_graph,
@@ -32,6 +34,8 @@ from spectree.families import (
     windmill_graph,
 )
 from spectree.spectra import laplacian, q_matrix
+
+from _oracles import jacobi
 
 
 def _random_symmetric(rng, n, scale=1.0):
@@ -60,12 +64,24 @@ def _solver_test_matrices():
     return mats
 
 
-def test_eigenvalues_match_lapack():
+def _assert_matches_jacobi(m):
+    want, _ = jacobi(m)
+    scale_ = 1.0 + np.abs(want).max()
+    np.testing.assert_allclose(eigenvalues(m), want, atol=1e-9 * scale_, rtol=0)
+
+
+def test_eigenvalues_match_jacobi_oracle():
     for m in _solver_test_matrices():
-        got = eigenvalues(m)
-        want = np.linalg.eigvalsh(m)
-        scale_ = 1.0 + np.abs(want).max()
-        np.testing.assert_allclose(got, want, atol=1e-9 * scale_, rtol=0)
+        _assert_matches_jacobi(m)
+
+
+def test_tree_products_match_jacobi_oracle():
+    # every beta_m(T, m) with 2 <= |T| <= 8 (K_1 has no line graph) and
+    # m in {2, 3}: orders up to 21
+    for n in range(2, 9):
+        for tree in enumerate_free_trees(n):
+            for m in (2, 3):
+                _assert_matches_jacobi(laplacian(beta_m(tree, m)))
 
 
 def test_eigensystem_residuals_and_orthogonality():
@@ -104,12 +120,19 @@ def test_known_small_spectra():
 
 
 def test_solver_input_validation():
-    with pytest.raises(ValueError):
-        eigenvalues(np.array([[1.0, 2.0], [3.0, 4.0]]))  # not symmetric
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not symmetric"):
+        eigenvalues(np.array([[1.0, 2.0], [3.0, 4.0]]))
+    with pytest.raises(ValueError, match="square"):
         eigenvalues(np.ones((2, 3)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="square"):
         eigenvalues(np.ones(4))
+    for bad in (np.nan, np.inf, -np.inf):
+        diag = np.array([[bad, 0.0], [0.0, 1.0]])
+        offdiag = np.array([[1.0, bad], [bad, 1.0]])
+        for m in (diag, offdiag):
+            for solve in (eigenvalues, eigensystem, min_eigenvalue):
+                with pytest.raises(ValueError, match="non-finite"):
+                    solve(m)
 
 
 def test_min_eigenvalue():
