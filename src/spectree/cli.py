@@ -4,15 +4,13 @@ Subcommands: spectrum, aconn, beta, verify, table2, enumerate, export.
 Graphs come either from a family descriptor (--family "windmill:3,4") or a
 JSON file (--file graph.json); --line replaces the graph by its line graph
 before anything else runs. Text output prints values at 6 significant
-digits; json and csv keep full precision. SPECTREE_TOL overrides the
-comparison tolerance used by verify.
+digits; json and csv keep full precision.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .eigen import eigenvalues, group_spectrum, spectrum_to_dict
@@ -27,21 +25,6 @@ from .spectra import (
     q_min,
 )
 from .verify import ALL_CLAIMS, run_claim
-
-_DEFAULT_TOL = 1e-8
-
-
-def _tol_from_env(default: float = _DEFAULT_TOL) -> float:
-    raw = os.environ.get("SPECTREE_TOL")
-    if raw is None:
-        return default
-    try:
-        val = float(raw)
-    except ValueError as exc:
-        raise SystemExit(f"SPECTREE_TOL is not a number: {raw!r}") from exc
-    if not val > 0:
-        raise SystemExit("SPECTREE_TOL must be positive")
-    return val
 
 
 def _add_graph_args(p: argparse.ArgumentParser, with_line: bool = True) -> None:
@@ -129,7 +112,8 @@ def _cmd_beta(parser, args) -> int:
 
 
 def _cmd_verify(parser, args) -> int:
-    tol = _tol_from_env(args.tol)
+    if not args.tol > 0:
+        parser.error("--tol must be > 0")
     if args.m is not None and args.m < 2:
         parser.error("--m must be >= 2")
     if args.max_n < 2:
@@ -137,7 +121,7 @@ def _cmd_verify(parser, args) -> int:
     claims = list(ALL_CLAIMS) if args.claim == "all" else [args.claim]
     reports = []
     for cid in claims:
-        reports.extend(run_claim(cid, tol, max_n=args.max_n, m=args.m))
+        reports.extend(run_claim(cid, args.tol, max_n=args.max_n, m=args.m))
     if args.format == "json":
         print(json.dumps([r.to_dict() for r in reports]))
     else:
@@ -230,7 +214,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run claim checks")
     p.add_argument("claim", choices=("all",) + ALL_CLAIMS)
-    p.add_argument("--tol", type=float, default=_DEFAULT_TOL)
+    p.add_argument(
+        "--tol",
+        type=float,
+        default=1e-8,
+        help="comparison tolerance, > 0; table-2 uses its fixed print precision (0.01)",
+    )
     p.add_argument("--max-n", type=int, default=8, help="tree size cap for the thm-2.1 sweep")
     p.add_argument("--m", type=int, default=None, help="restrict thm-2.1 to a single m")
     p.add_argument("--format", choices=("text", "json"), default="text")

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "EIG_TOL",
     "GROUP_TOL",
     "INT_TOL",
     "Spectrum",
@@ -39,7 +38,6 @@ __all__ = [
     "spectrum_from_json",
 ]
 
-EIG_TOL = 1e-9    # default tolerance for eigenvalue assertions
 GROUP_TOL = 1e-7  # default tolerance for merging near-equal eigenvalues
 INT_TOL = 1e-6    # threshold for calling a float an integer
 

@@ -34,24 +34,20 @@ __all__ = [
     "tree_canonical_form",
 ]
 
-_KINDS = ("path", "star", "complete", "tkst", "diam4", "windmill", "wprime", "book")
-_ARITY = {"path": 1, "star": 1, "complete": 1, "book": 1, "windmill": 2, "wprime": 2, "tkst": 3}
-
-
 @dataclass(frozen=True)
 class FamilyDescriptor:
     kind: str
     params: tuple[int, ...]
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in _FAMILIES:
             raise ValueError(f"unknown family kind {self.kind!r}")
-        if self.kind == "diam4":
-            # k followed by its k branch loads
+        arity = _FAMILIES[self.kind][1]
+        if arity is None:
             if len(self.params) < 2 or len(self.params) != self.params[0] + 1:
                 raise ValueError("diam4 takes params (k, x1, .., xk)")
-        elif len(self.params) != _ARITY[self.kind]:
-            raise ValueError(f"{self.kind} takes {_ARITY[self.kind]} parameter(s)")
+        elif len(self.params) != arity:
+            raise ValueError(f"{self.kind} takes {arity} parameter(s)")
 
 
 def parse_family(text: str) -> FamilyDescriptor:
@@ -77,31 +73,8 @@ def format_family(desc: FamilyDescriptor) -> str:
 
 
 def build(desc: FamilyDescriptor) -> Graph:
-    kind, p = desc.kind, desc.params
-    if kind == "path":
-        (n,) = p
-        return path_graph(n)
-    if kind == "star":
-        (n,) = p
-        return star_graph(n)
-    if kind == "complete":
-        (n,) = p
-        return complete_graph(n)
-    if kind == "tkst":
-        k, s, t = p
-        return tkst_tree(k, s, t)
-    if kind == "diam4":
-        return diam4_tree(p[0], p[1:])
-    if kind == "windmill":
-        eta, mu = p
-        return windmill_graph(eta, mu)
-    if kind == "wprime":
-        eta, mu = p
-        return wprime_graph(eta, mu)
-    if kind == "book":
-        (k,) = p
-        return book_graph(k)
-    raise ValueError(f"unknown family kind {kind!r}")
+    ctor, _ = _FAMILIES[desc.kind]
+    return ctor(*desc.params)
 
 
 def path_graph(n: int) -> Graph:
@@ -185,6 +158,20 @@ def book_graph(k: int) -> Graph:
     if k < 1:
         raise ValueError("book needs k >= 1")
     return cartesian(star_graph(k + 1), complete_graph(2))
+
+
+# family kind -> (constructor, parameter count); None marks diam4's
+# variable count, k followed by k branch loads
+_FAMILIES = {
+    "path": (path_graph, 1),
+    "star": (star_graph, 1),
+    "complete": (complete_graph, 1),
+    "tkst": (tkst_tree, 3),
+    "diam4": (lambda k, *xs: diam4_tree(k, xs), None),
+    "windmill": (windmill_graph, 2),
+    "wprime": (wprime_graph, 2),
+    "book": (book_graph, 1),
+}
 
 
 # ---- products and line graph ----

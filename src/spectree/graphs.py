@@ -39,8 +39,8 @@ __all__ = [
 class Graph:
     """Immutable simple undirected graph.
 
-    adj is a symmetric boolean (n, n) matrix with a zero diagonal; it is
-    marked read-only at construction.
+    adj is a symmetric boolean (n, n) ndarray with a zero diagonal;
+    construction checks this and marks it read-only.
     """
 
     n: int
@@ -48,7 +48,16 @@ class Graph:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        self.adj.flags.writeable = False
+        adj = self.adj
+        if not isinstance(adj, np.ndarray) or adj.dtype != np.bool_:
+            raise ValueError("adj must be a numpy array of dtype bool")
+        if adj.shape != (self.n, self.n):
+            raise ValueError(f"adj has shape {adj.shape}, expected ({self.n}, {self.n})")
+        if adj.diagonal().any():
+            raise ValueError("adj has a nonzero diagonal (a loop)")
+        if (adj != adj.T).any():
+            raise ValueError("adj is not symmetric")
+        adj.flags.writeable = False
 
     @property
     def edge_count(self) -> int:
@@ -243,14 +252,10 @@ def is_restricted(g: Graph) -> bool:
 
 
 def blocks_all_complete(g: Graph) -> bool:
-    dec = block_decomposition(g)
-    eye_ok = True
-    for b in dec.blocks:
-        sub = g.adj[np.ix_(b, b)]
-        if not (sub | np.eye(len(b), dtype=bool)).all():
-            eye_ok = False
-            break
-    return eye_ok
+    return all(
+        (g.adj[np.ix_(b, b)] | np.eye(len(b), dtype=bool)).all()
+        for b in block_decomposition(g).blocks
+    )
 
 
 def block_structure_is_star(g: Graph) -> bool:

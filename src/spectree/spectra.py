@@ -132,7 +132,7 @@ def a_beta_m(tree: Graph, m: int) -> float:
         raise ValueError("a_beta_m needs m >= 2")
     lg, _ = line_graph(tree)
     cand = min((m - 1) * algebraic_connectivity(lg), q_min(lg, m))
-    direct = float(eigenvalues(laplacian(kronecker(lg, complete_graph(m))))[1])
+    direct = algebraic_connectivity(kronecker(lg, complete_graph(m)))
     if abs(cand - direct) > 1e-8:
         raise RuntimeError(
             f"decomposition value {cand!r} disagrees with direct value {direct!r}"

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -190,14 +190,31 @@ def _le_instance(desc, bound, observed, tol, informational=False) -> CheckInstan
     )
 
 
+def _lt_instance(desc, bound, observed, tol) -> CheckInstance:
+    """observed must sit strictly below bound, by more than tol."""
+    return CheckInstance(
+        descriptor=desc,
+        expected=f"< {_fmt(bound)}",
+        observed=_fmt(observed),
+        passed=observed < bound - tol,
+        deviation=max(0.0, observed - bound),
+    )
+
+
+def _multiset_instance(desc, closed, direct, tol, expected="multisets equal") -> CheckInstance:
+    """Closed-form against directly solved eigenvalues, both ascending arrays."""
+    dev = math.inf if len(closed) != len(direct) else float(np.max(np.abs(closed - direct)))
+    return CheckInstance(
+        descriptor=desc,
+        expected=expected,
+        observed=f"max deviation {dev:.3g}",
+        passed=dev <= tol,
+        deviation=dev,
+    )
+
+
 def _edge_str(g: Graph) -> str:
     return ",".join(f"{u}-{v}" for u, v in edge_list(g))
-
-
-def _multiset_dev(a: np.ndarray, b: np.ndarray) -> float:
-    if len(a) != len(b):
-        return math.inf
-    return float(np.max(np.abs(np.asarray(a) - np.asarray(b))))
 
 
 # ---- classification ----
@@ -267,44 +284,25 @@ def check_theorem_21(max_n: int = 8, m: int = 2, tol: float = 1e-8) -> Verificat
             cls = classify_t1st(tree)
             path = int(degrees(tree).max()) <= 2
             if path and m == 2:
-                out.append(
-                    CheckInstance(
-                        descriptor=desc + " [path]",
-                        expected="disconnected product, a = 0",
-                        observed=f"connected={connected}, a={_fmt(a)}",
-                        passed=(not connected) and abs(a) <= tol,
-                        deviation=abs(a),
-                    )
+                inst = CheckInstance(
+                    descriptor=desc + " [path]",
+                    expected="disconnected product, a = 0",
+                    observed=f"connected={connected}, a={_fmt(a)}",
+                    passed=(not connected) and abs(a) <= tol,
+                    deviation=abs(a),
                 )
-                continue
-            if is_star(tree):
+            elif is_star(tree):
                 ex = float((n - 2) * (m - 1) - 1)
                 note = " (= m-1 here)" if ex == m - 1 else ""
                 inst = _eq_instance(desc + f" [star{note}]", ex, a, tol)
-                out.append(
-                    CheckInstance(
-                        descriptor=inst.descriptor,
-                        expected=inst.expected + " (clique product)",
-                        observed=inst.observed,
-                        passed=inst.passed and connected,
-                        deviation=inst.deviation,
-                    )
-                )
-                continue
-            if cls is not None and cls[1] >= 2:
+                inst = replace(inst, expected=inst.expected + " (clique product)", passed=inst.passed and connected)
+            elif cls is not None and cls[1] >= 2:
                 s, t = cls
                 inst = _eq_instance(desc + f" [T(1,{s},{t})]", float(m - 1), a, tol)
-                out.append(inst)
             else:
-                out.append(
-                    CheckInstance(
-                        descriptor=desc,
-                        expected=f"< {m - 1}",
-                        observed=_fmt(a),
-                        passed=connected and a < (m - 1) - tol,
-                        deviation=max(0.0, a - (m - 1)),
-                    )
-                )
+                inst = _lt_instance(desc, float(m - 1), a, tol)
+                inst = replace(inst, passed=inst.passed and connected)
+            out.append(inst)
     return VerificationReport("thm-2.1", tol, tuple(out))
 
 
@@ -370,16 +368,8 @@ def check_corollary_21(ss=(2, 3, 4, 5), ts=(2, 3, 4, 5), ms=(2, 3), tol: float =
             out.append(
                 _eq_instance(f"s={s} t={t} top Laplacian eigenvalue of L(T(1,s,t))", closed_top, top, tol)
             )
-            out.append(
-                CheckInstance(
-                    descriptor=f"s={s} t={t} source text prints top value s+t-1",
-                    expected=f"= {_fmt(float(s + t - 1))}",
-                    observed=_fmt(top),
-                    passed=abs(top - (s + t - 1)) <= tol,
-                    informational=True,
-                    deviation=abs(top - (s + t - 1)),
-                )
-            )
+            printed = f"s={s} t={t} source text prints top value s+t-1"
+            out.append(_eq_instance(printed, float(s + t - 1), top, tol, informational=True))
             for m in ms:
                 cc = integrality_cubic(s, t, m)
                 exact = cc.integer_roots()
@@ -414,10 +404,6 @@ def _triangle_chain(blocks: int = 3) -> Graph:
     return from_edge_list(2 * blocks + 1, edges)
 
 
-def _direct_aconn_product(g: Graph, m: int) -> float:
-    return float(eigenvalues(laplacian(kronecker(g, complete_graph(m))))[1])
-
-
 def check_theorem_23(etas=(3, 4), mus=(3, 4, 5), ms=(2, 3), tol: float = 1e-8) -> VerificationReport:
     """For connected restricted graphs with complete blocks and >= 3
     blocks: a(X x K_m) = m-1 iff min degree >= 2 and the block structure
@@ -449,23 +435,21 @@ def check_theorem_23(etas=(3, 4), mus=(3, 4, 5), ms=(2, 3), tol: float = 1e-8) -
                 )
             )
             for m in ms:
-                a = _direct_aconn_product(wm, m)
+                a = algebraic_connectivity(kronecker(wm, complete_graph(m)))
                 out.append(_eq_instance(f"windmill:{eta},{mu} m={m} a(X x K_m)", float(m - 1), a, tol))
 
     # negatives
+    hubbed = _windmill_plus_pendant(3, 3, at_hub=True)
+    x = int(degrees(hubbed)[0])  # hub degree after the pendant
+    non_star = (
+        ("windmill:3,3+rim pendant", "non-star structure", _windmill_plus_pendant(3, 3, at_hub=False)),
+        ("triangle chain", "delta=2, path structure", _triangle_chain(3)),
+    )
     for m in ms:
-        hubbed = _windmill_plus_pendant(3, 3, at_hub=True)
-        a = _direct_aconn_product(hubbed, m)
-        x = int(degrees(hubbed)[0])  # hub degree after the pendant
+        a = algebraic_connectivity(kronecker(hubbed, complete_graph(m)))
         sub = ((m - 1) * (x + 1) - math.sqrt(((m - 1) * (x - 1)) ** 2 + 4.0)) / 2.0
         out.append(
-            CheckInstance(
-                descriptor=f"windmill:3,3+hub pendant m={m} (delta=1, star structure)",
-                expected=f"< {m - 1}",
-                observed=_fmt(a),
-                passed=a < (m - 1) - tol,
-                deviation=max(0.0, a - (m - 1)),
-            )
+            _lt_instance(f"windmill:3,3+hub pendant m={m} (delta=1, star structure)", float(m - 1), a, tol)
         )
         out.append(
             _le_instance(
@@ -475,38 +459,21 @@ def check_theorem_23(etas=(3, 4), mus=(3, 4, 5), ms=(2, 3), tol: float = 1e-8) -
                 tol,
             )
         )
-        rimmed = _windmill_plus_pendant(3, 3, at_hub=False)
-        a_rim = _direct_aconn_product(rimmed, m)
-        out.append(
-            CheckInstance(
-                descriptor=f"windmill:3,3+rim pendant m={m} (non-star structure)",
-                expected=f"non-star blocks and a < {m - 1}",
-                observed=f"star={block_structure_is_star(rimmed)}, a={_fmt(a_rim)}",
-                passed=(not block_structure_is_star(rimmed)) and a_rim < (m - 1) - tol,
+        for name, note, g in non_star:
+            a = algebraic_connectivity(kronecker(g, complete_graph(m)))
+            star = block_structure_is_star(g)
+            out.append(
+                CheckInstance(
+                    descriptor=f"{name} m={m} ({note})",
+                    expected=f"non-star blocks and a < {m - 1}",
+                    observed=f"star={star}, a={_fmt(a)}",
+                    passed=(not star) and a < (m - 1) - tol,
+                )
             )
-        )
-        chain = _triangle_chain(3)
-        a_chain = _direct_aconn_product(chain, m)
-        out.append(
-            CheckInstance(
-                descriptor=f"triangle chain m={m} (delta=2, path structure)",
-                expected=f"non-star blocks and a < {m - 1}",
-                observed=f"star={block_structure_is_star(chain)}, a={_fmt(a_chain)}",
-                passed=(not block_structure_is_star(chain)) and a_chain < (m - 1) - tol,
-            )
-        )
         # below the >=3 blocks hypothesis, yet the value still lands on m-1
-        a2 = _direct_aconn_product(windmill_graph(2, 3), m)
-        out.append(
-            CheckInstance(
-                descriptor=f"windmill:2,3 m={m} (only 2 blocks, outside hypothesis)",
-                expected=f"= {m - 1}",
-                observed=_fmt(a2),
-                passed=abs(a2 - (m - 1)) <= tol,
-                informational=True,
-                deviation=abs(a2 - (m - 1)),
-            )
-        )
+        a = algebraic_connectivity(kronecker(windmill_graph(2, 3), complete_graph(m)))
+        desc = f"windmill:2,3 m={m} (only 2 blocks, outside hypothesis)"
+        out.append(_eq_instance(desc, float(m - 1), a, tol, informational=True))
     return VerificationReport("thm-2.3", tol, tuple(out))
 
 
@@ -589,22 +556,11 @@ def check_theorem_31(etas=(2, 3, 4), mus=(3, 4, 5), ms=(2, 3), tol: float = 1e-8
     for eta in etas:
         for mu in mus:
             for m in ms:
-                closed = windmill_product_spectrum(eta, mu, m)
-                direct = product_laplacian_spectrum_direct(windmill_graph(eta, mu), m)
-                dev = _multiset_dev(closed.values(), direct.values())
-                out.append(
-                    CheckInstance(
-                        descriptor=f"windmill:{eta},{mu} m={m} closed vs direct product spectrum",
-                        expected="multisets equal",
-                        observed=f"max deviation {dev:.3g}",
-                        passed=dev <= tol,
-                        deviation=dev,
-                    )
-                )
-                a = float(direct.values()[1])
-                out.append(
-                    _eq_instance(f"windmill:{eta},{mu} m={m} a(W x K_m)", float(m - 1), a, tol)
-                )
+                closed = windmill_product_spectrum(eta, mu, m).values()
+                direct = product_laplacian_spectrum_direct(windmill_graph(eta, mu), m).values()
+                desc = f"windmill:{eta},{mu} m={m}"
+                out.append(_multiset_instance(f"{desc} closed vs direct product spectrum", closed, direct, tol))
+                out.append(_eq_instance(f"{desc} a(W x K_m)", float(m - 1), float(direct[1]), tol))
     return VerificationReport("thm-3.1", tol, tuple(out))
 
 
@@ -613,28 +569,12 @@ def check_theorem_32(etas=(3, 4, 5), mus=(3, 4, 5), ms=(2, 3), tol: float = 1e-8
     for eta in etas:
         for mu in mus:
             for m in ms:
-                wp = wprime_graph(eta, mu)
-                closed = wprime_product_spectrum(eta, mu, m)
-                direct = product_laplacian_spectrum_direct(wp, m)
-                dev = _multiset_dev(closed.values(), direct.values())
-                out.append(
-                    CheckInstance(
-                        descriptor=f"wprime:{eta},{mu} m={m} closed vs direct product spectrum",
-                        expected="multisets equal",
-                        observed=f"max deviation {dev:.3g}",
-                        passed=dev <= tol,
-                        deviation=dev,
-                    )
-                )
+                closed = wprime_product_spectrum(eta, mu, m).values()
+                direct = product_laplacian_spectrum_direct(wprime_graph(eta, mu), m).values()
                 aconn = wprime_algebraic_connectivity(eta, mu, m)
-                out.append(
-                    _eq_instance(
-                        f"wprime:{eta},{mu} m={m} a(W' x K_m)",
-                        aconn,
-                        float(direct.values()[1]),
-                        tol,
-                    )
-                )
+                desc = f"wprime:{eta},{mu} m={m}"
+                out.append(_multiset_instance(f"{desc} closed vs direct product spectrum", closed, direct, tol))
+                out.append(_eq_instance(f"{desc} a(W' x K_m)", aconn, float(direct[1]), tol))
     return VerificationReport("thm-3.2", tol, tuple(out))
 
 
@@ -642,17 +582,10 @@ def check_theorem_33(ks=(2, 3, 4, 5, 6, 7, 8), ms=(2, 3), tol: float = 1e-8) -> 
     out = []
     for k in ks:
         lg, _ = line_graph(book_graph(k))
-        closed = book_line_laplacian_spectrum(k)
+        closed = book_line_laplacian_spectrum(k).values()
         vals = eigenvalues(laplacian(lg))
-        dev = _multiset_dev(closed.values(), vals)
         out.append(
-            CheckInstance(
-                descriptor=f"book:{k} Laplacian spectrum of L(B_k)",
-                expected="closed multiset",
-                observed=f"max deviation {dev:.3g}",
-                passed=dev <= tol,
-                deviation=dev,
-            )
+            _multiset_instance(f"book:{k} Laplacian spectrum of L(B_k)", closed, vals, tol, expected="closed multiset")
         )
         out.append(
             _eq_instance(
@@ -663,7 +596,7 @@ def check_theorem_33(ks=(2, 3, 4, 5, 6, 7, 8), ms=(2, 3), tol: float = 1e-8) -> 
             )
         )
         for m in ms:
-            a = _direct_aconn_product(lg, m)
+            a = algebraic_connectivity(kronecker(lg, complete_graph(m)))
             out.append(
                 _le_instance(f"book:{k} m={m} a(L(B_k) x K_m) within bound", book_aconn_bound(k, m), a, tol)
             )
@@ -696,16 +629,10 @@ def check_corollary_31(tree: Graph, m: int, tol: float = 1e-8) -> VerificationRe
             )
         )
         literal = wprime_algebraic_connectivity(eta, mu + 1, 2)  # unscaled small root
-        out.append(
-            CheckInstance(
-                descriptor=f"diam4 eta={eta} xs={xs} m={m} mu={mu}: literal unscaled bound",
-                expected=f"<= {_fmt(literal)} (as printed, no (m-1) factor)",
-                observed=_fmt(a),
-                passed=a <= literal + tol,
-                informational=True,
-                deviation=max(0.0, a - literal),
-            )
+        inst = _le_instance(
+            f"diam4 eta={eta} xs={xs} m={m} mu={mu}: literal unscaled bound", literal, a, tol, informational=True
         )
+        out.append(replace(inst, expected=inst.expected + " (as printed, no (m-1) factor)"))
     return VerificationReport("cor-3.1", tol, tuple(out))
 
 
@@ -782,18 +709,26 @@ def reproduce_table2(tol: float = 0.01) -> VerificationReport:
 
 # ---- registry ----
 
-ALL_CLAIMS = (
-    "thm-2.1",
-    "thm-2.1-cases",
-    "cor-2.1",
-    "thm-2.3",
-    "thm-das",
-    "thm-3.1",
-    "thm-3.2",
-    "thm-3.3",
-    "cor-3.1",
-    "table-2",
-)
+def _thm21_sweep(tol, max_n, m):
+    return [check_theorem_21(max_n, mm, tol) for mm in ((2, 3) if m is None else (m,))]
+
+
+# claim id -> runner(tol, max_n, m)
+_CLAIMS = {
+    "thm-2.1": _thm21_sweep,
+    "thm-2.1-cases": lambda tol, max_n, m: [check_case_bounds_thm21(tol=tol)],
+    "cor-2.1": lambda tol, max_n, m: [check_corollary_21(tol=tol)],
+    "thm-2.3": lambda tol, max_n, m: [check_theorem_23(tol=tol)],
+    "thm-das": lambda tol, max_n, m: [check_theorem_das_examples(tol=tol)],
+    "thm-3.1": lambda tol, max_n, m: [check_theorem_31(tol=tol)],
+    "thm-3.2": lambda tol, max_n, m: [check_theorem_32(tol=tol)],
+    "thm-3.3": lambda tol, max_n, m: [check_theorem_33(tol=tol)],
+    "cor-3.1": lambda tol, max_n, m: [check_corollary_31_examples(tol=tol)],
+    # compared at the table's print precision, not at tol
+    "table-2": lambda tol, max_n, m: [reproduce_table2()],
+}
+
+ALL_CLAIMS = tuple(_CLAIMS)
 
 
 def run_claim(
@@ -803,25 +738,7 @@ def run_claim(
 
     max_n and m narrow the thm-2.1 tree sweep; other claims ignore them.
     """
-    if claim_id == "thm-2.1":
-        ms = (2, 3) if m is None else (m,)
-        return [check_theorem_21(max_n, mm, tol) for mm in ms]
-    if claim_id == "thm-2.1-cases":
-        return [check_case_bounds_thm21(tol=tol)]
-    if claim_id == "cor-2.1":
-        return [check_corollary_21(tol=tol)]
-    if claim_id == "thm-2.3":
-        return [check_theorem_23(tol=tol)]
-    if claim_id == "thm-das":
-        return [check_theorem_das_examples(tol=tol)]
-    if claim_id == "thm-3.1":
-        return [check_theorem_31(tol=tol)]
-    if claim_id == "thm-3.2":
-        return [check_theorem_32(tol=tol)]
-    if claim_id == "thm-3.3":
-        return [check_theorem_33(tol=tol)]
-    if claim_id == "cor-3.1":
-        return [check_corollary_31_examples(tol=tol)]
-    if claim_id == "table-2":
-        return [reproduce_table2()]
-    raise ValueError(f"unknown claim {claim_id!r}")
+    runner = _CLAIMS.get(claim_id)
+    if runner is None:
+        raise ValueError(f"unknown claim {claim_id!r}")
+    return runner(tol, max_n, m)

@@ -61,14 +61,6 @@ _T0 = time.perf_counter()
 _TREE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23}
 
 
-def _direct_spectrum(g, m):
-    return group_spectrum(eigenvalues(laplacian(kronecker(g, complete_graph(m)))))
-
-
-def _aconn_product(g, m):
-    return float(eigenvalues(laplacian(kronecker(g, complete_graph(m))))[1])
-
-
 def test_criterion_01_star_product_three_routes():
     t0 = time.perf_counter()
     want = np.array([0.0, 1.0, 1.0, 3.0, 3.0, 4.0])
@@ -158,7 +150,7 @@ def test_criterion_05_windmill_product_spectrum_and_connectivity():
         for mu in (3, 4, 5):
             for m in (2, 3):
                 closed = windmill_product_spectrum(eta, mu, m)
-                direct = _direct_spectrum(windmill_graph(eta, mu), m)
+                direct = product_laplacian_spectrum_direct(windmill_graph(eta, mu), m)
                 assert spectra_equal(closed, direct, 1e-8), (eta, mu, m)
                 assert abs(second_smallest(direct) - (m - 1)) <= 1e-8, (eta, mu, m)
 
@@ -168,7 +160,7 @@ def test_criterion_06_glued_clique_connectivity_closed_form():
         for mu in (3, 4, 5):
             for m in (2, 3):
                 closed = wprime_algebraic_connectivity(eta, mu, m)
-                direct = _aconn_product(wprime_graph(eta, mu), m)
+                direct = algebraic_connectivity(kronecker(wprime_graph(eta, mu), complete_graph(m)))
                 assert abs(closed - direct) <= 1e-8, (eta, mu, m)
     want = (6 - math.sqrt(24)) / 2  # 0.550510...
     assert abs(wprime_algebraic_connectivity(3, 3, 2) - want) <= 1e-6
@@ -181,7 +173,7 @@ def test_criterion_07_book_line_graph_spectrum_and_bounds():
         direct = group_spectrum(eigenvalues(laplacian(lb)))
         assert spectra_equal(closed, direct, 1e-8), k
         for m in (2, 3):
-            a_prod = _aconn_product(lb, m)
+            a_prod = algebraic_connectivity(kronecker(lb, complete_graph(m)))
             assert a_prod <= book_aconn_bound(k, m) + 1e-8, (k, m)
     want = (7 - math.sqrt(17)) / 2  # 1.438447...
     lb3 = line_graph(book_graph(3))[0]

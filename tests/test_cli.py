@@ -204,13 +204,14 @@ def test_table2(capsys):
     assert out.startswith("claim table-2: PASS")
 
 
-def test_tol_env(capsys, monkeypatch):
-    monkeypatch.setenv("SPECTREE_TOL", "1e-6")
-    code, _, _ = _run(capsys, ["verify", "thm-das"])
+def test_tol_flag(capsys, monkeypatch):
+    # the flag is the only way to set the tolerance; the environment is not read
+    monkeypatch.setenv("SPECTREE_TOL", "1e-3")
+    code, out, _ = _run(capsys, ["verify", "thm-das", "--tol", "1e-6", "--format", "json"])
     assert code == 0
-    monkeypatch.setenv("SPECTREE_TOL", "abc")
-    with pytest.raises(SystemExit):
-        main(["verify", "thm-das"])
-    monkeypatch.setenv("SPECTREE_TOL", "-1")
-    with pytest.raises(SystemExit):
-        main(["verify", "thm-das"])
+    assert [r["tolerance"] for r in json.loads(out)] == [1e-6]
+    for bad in ("0", "-1", "nan", "abc"):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "thm-das", "--tol", bad])
+        assert exc.value.code == 2
+    assert "--tol must be > 0" in capsys.readouterr().err

@@ -32,11 +32,7 @@ from spectree.families import (
     windmill_graph,
     wprime_graph,
 )
-from spectree.spectra import laplacian, q_matrix
-
-
-def _direct(g, m):
-    return group_spectrum(eigenvalues(laplacian(kronecker(g, complete_graph(m)))))
+from spectree.spectra import laplacian, product_laplacian_spectrum_direct, q_matrix
 
 
 def test_quad_roots():
@@ -52,7 +48,7 @@ def test_star_product_closed_vs_direct():
     for n in (3, 4, 5, 7):
         for m in (2, 3):
             closed = star_product_spectrum(n, m)
-            direct = _direct(line_graph(star_graph(n))[0], m)
+            direct = product_laplacian_spectrum_direct(line_graph(star_graph(n))[0], m)
             assert spectra_equal(closed, direct, 1e-9)
     with pytest.raises(ValueError):
         star_product_spectrum(2, 2)
@@ -130,7 +126,7 @@ def test_is_beta_laplacian_integral():
 def test_windmill_product_closed_vs_direct():
     for eta, mu, m in ((2, 3, 2), (3, 3, 3), (2, 4, 2), (4, 3, 2)):
         closed = windmill_product_spectrum(eta, mu, m)
-        direct = _direct(windmill_graph(eta, mu), m)
+        direct = product_laplacian_spectrum_direct(windmill_graph(eta, mu), m)
         assert spectra_equal(closed, direct, 1e-8)
     with pytest.raises(ValueError):
         windmill_product_spectrum(1, 3, 2)
@@ -147,7 +143,7 @@ def test_windmill_quadratic_values():
 def test_wprime_product_closed_vs_direct():
     for eta, mu, m in ((2, 2, 2), (3, 3, 2), (3, 4, 3), (4, 3, 2)):
         closed = wprime_product_spectrum(eta, mu, m)
-        direct = _direct(wprime_graph(eta, mu), m)
+        direct = product_laplacian_spectrum_direct(wprime_graph(eta, mu), m)
         assert spectra_equal(closed, direct, 1e-8)
     assert set(wprime_quadratics(3, 3, 2)) == {"wind1", "wind2", "wind3"}
     with pytest.raises(ValueError):

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from spectree.eigen import (
-    EIG_TOL,
     GROUP_TOL,
     Spectrum,
     eigensystem,
@@ -212,5 +211,4 @@ def test_spectrum_json_round_trip():
 
 
 def test_default_tolerances_positive():
-    assert 0 < EIG_TOL < 1e-6
     assert 0 < GROUP_TOL < 1e-3

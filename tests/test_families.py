@@ -125,14 +125,27 @@ def test_parse_family_errors():
 
 
 def test_build_matches_constructors():
-    np.testing.assert_array_equal(build(parse_family("tkst:1,2,2")).adj, tkst_tree(1, 2, 2).adj)
-    np.testing.assert_array_equal(build(parse_family("windmill:2,3")).adj, windmill_graph(2, 3).adj)
-    np.testing.assert_array_equal(build(parse_family("diam4:3;2,2,0")).adj, diam4_tree(3, (2, 2, 0)).adj)
+    cases = (
+        ("path:4", path_graph(4)),
+        ("star:5", star_graph(5)),
+        ("complete:4", complete_graph(4)),
+        ("tkst:1,2,2", tkst_tree(1, 2, 2)),
+        ("diam4:3;2,2,0", diam4_tree(3, (2, 2, 0))),
+        ("windmill:2,3", windmill_graph(2, 3)),
+        ("wprime:3,2", wprime_graph(3, 2)),
+        ("book:3", book_graph(3)),
+    )
+    for text, want in cases:
+        np.testing.assert_array_equal(build(parse_family(text)).adj, want.adj, err_msg=text)
 
 
 def test_family_descriptor_validation():
     with pytest.raises(ValueError):
         FamilyDescriptor("unknown", (3,))
+    with pytest.raises(ValueError, match="path takes 1 parameter"):
+        FamilyDescriptor("path", (3, 4))
+    with pytest.raises(ValueError, match="diam4 takes params"):
+        FamilyDescriptor("diam4", (3, 2, 2))
 
 
 # ---- products ----

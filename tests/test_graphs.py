@@ -13,6 +13,7 @@ from spectree.families import (
     wprime_graph,
 )
 from spectree.graphs import (
+    Graph,
     block_decomposition,
     block_structure_is_star,
     blocks_all_complete,
@@ -62,6 +63,24 @@ def test_adjacency_is_read_only():
     g = from_edge_list(3, [(0, 1)])
     with pytest.raises(ValueError):
         g.adj[0, 2] = True
+
+
+def test_graph_rejects_invalid_adjacency():
+    one_way = np.zeros((3, 3), dtype=bool)
+    one_way[0, 1] = True
+    loop = np.zeros((2, 2), dtype=bool)
+    loop[1, 1] = True
+    cases = (
+        (3, np.ones((2, 2), dtype=bool), "shape"),
+        (3, one_way, "not symmetric"),
+        (2, loop, "diagonal"),
+        (2, np.zeros((2, 2)), "dtype bool"),
+        (2, [[False, True], [True, False]], "dtype bool"),
+    )
+    for n, adj, msg in cases:
+        with pytest.raises(ValueError, match=msg):
+            Graph(n=n, adj=adj)
+    assert Graph(n=2, adj=np.array([[False, True], [True, False]])).edge_count == 1
 
 
 def test_degrees_and_min_degree():

@@ -142,6 +142,37 @@ def test_all_claims_registry():
     assert "table-2" in ALL_CLAIMS
 
 
+# (passed, failed, informational) of every report run_claim returns
+_CENSUS = {
+    "thm-2.1": [(46, 0, 0), (46, 0, 0)],  # m = 2, then m = 3
+    "thm-2.1-cases": [(12, 0, 0)],
+    "cor-2.1": [(30, 0, 10)],
+    "thm-2.3": [(26, 0, 2)],
+    "thm-das": [(3, 0, 0)],
+    "thm-3.1": [(36, 0, 0)],
+    "thm-3.2": [(36, 0, 0)],
+    "thm-3.3": [(28, 0, 0)],
+    "cor-3.1": [(4, 0, 3)],
+    "table-2": [(86, 0, 12)],
+}
+
+
+def test_verify_census():
+    assert tuple(_CENSUS) == ALL_CLAIMS
+    seen = set()
+    total = 0
+    for claim, want in _CENSUS.items():
+        reps = run_claim(claim)
+        assert [(r.passed, r.failed, r.informational) for r in reps] == want, claim
+        for r in reps:
+            assert r.claim_id == claim
+            total += len(r.instances)
+            for i in r.instances:
+                assert (claim, i.descriptor) not in seen, (claim, i.descriptor)
+                seen.add((claim, i.descriptor))
+    assert total == 380
+
+
 def test_reproduce_table2():
     rep = reproduce_table2()
     assert rep.ok, rep.to_text()
