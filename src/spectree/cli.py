@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .eigen import eigenvalues, group_spectrum, spectrum_to_dict
@@ -112,8 +113,8 @@ def _cmd_beta(parser, args) -> int:
 
 
 def _cmd_verify(parser, args) -> int:
-    if not args.tol > 0:
-        parser.error("--tol must be > 0")
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        parser.error("--tol must be finite and > 0")
     if args.m is not None and args.m < 2:
         parser.error("--m must be >= 2")
     if args.max_n < 2:
@@ -218,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--tol",
         type=float,
         default=1e-8,
-        help="comparison tolerance, > 0; table-2 uses its fixed print precision (0.01)",
+        help="comparison tolerance, finite and > 0; table-2 uses its fixed print precision (0.01)",
     )
     p.add_argument("--max-n", type=int, default=8, help="tree size cap for the thm-2.1 sweep")
     p.add_argument("--m", type=int, default=None, help="restrict thm-2.1 to a single m")

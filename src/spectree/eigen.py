@@ -103,7 +103,12 @@ class Spectrum:
 
 def spectrum_from_pairs(pairs, group_tol: float = GROUP_TOL) -> Spectrum:
     """Merge (value, multiplicity) pairs whose values chain within group_tol;
-    a merged group takes its multiplicity-weighted mean value."""
+    a merged group takes its multiplicity-weighted mean value.
+
+    Each sorted value is compared with the previous one, not with the
+    group's first, so a group's width is unbounded: values spaced
+    0.9 * group_tol apart form one group, and four of them span
+    2.7 * group_tol."""
     items = sorted((float(v), int(m)) for v, m in pairs if int(m) > 0)
     merged: list[list[float]] = []
     for v, m in items:

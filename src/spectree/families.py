@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, edge_list, from_edge_list, is_tree
+from .graphs import Graph, _neighbors, edge_list, from_edge_list, is_tree
 
 __all__ = [
     "FamilyDescriptor",
@@ -223,19 +223,23 @@ def enumerate_free_trees(n: int) -> list[Graph]:
     """All unlabeled trees on n vertices, one representative each.
 
     Rooted trees are generated by the level-sequence successor rule and
-    reduced to free trees by their center-rooted canonical encoding.
-    Deterministic: output is sorted by that encoding.
+    reduced to free trees by their center-rooted canonical encoding, which
+    is computed on plain neighbour lists; a Graph is built only for the
+    first tree of each new encoding. Deterministic: output is sorted by
+    that encoding.
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    if n == 1:
-        return [from_edge_list(1, [])]
     reps: dict[str, Graph] = {}
     for seq in _rooted_level_sequences(n):
-        g = _tree_from_levels(seq)
-        key = tree_canonical_form(g)
+        edges = _edges_from_levels(seq)
+        nbrs: list[list[int]] = [[] for _ in range(n)]
+        for u, v in edges:
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+        key = _canonical(nbrs)
         if key not in reps:
-            reps[key] = g
+            reps[key] = from_edge_list(n, edges)
     return [reps[k] for k in sorted(reps)]
 
 
@@ -258,15 +262,14 @@ def _rooted_level_sequences(n: int):
             seq.append(seq[-(p - q)])
 
 
-def _tree_from_levels(seq) -> Graph:
-    n = len(seq)
+def _edges_from_levels(seq) -> list[tuple[int, int]]:
     edges = []
     stack = [0]  # ancestors; vertex at depth d sits at stack[d]
-    for i in range(1, n):
+    for i in range(1, len(seq)):
         del stack[seq[i]:]
         edges.append((stack[-1], i))
         stack.append(i)
-    return from_edge_list(n, edges)
+    return edges
 
 
 def tree_canonical_form(tree: Graph) -> str:
@@ -275,47 +278,48 @@ def tree_canonical_form(tree: Graph) -> str:
     the tree is bicentral). Equal strings iff isomorphic."""
     if not is_tree(tree):
         raise ValueError("canonical form defined for trees")
-    return min(_ahu_encode(tree, c) for c in _centers(tree))
+    return _canonical(_neighbors(tree))
 
 
-def _centers(tree: Graph) -> list[int]:
-    n = tree.n
+def _canonical(nbrs) -> str:
+    return min(_ahu_encode(nbrs, c) for c in _centers(nbrs))
+
+
+def _centers(nbrs) -> list[int]:
+    # strip leaves layer by layer; a stripped vertex's degree later drops
+    # to 0, never back to 1, so the last layer found is the center
+    n = len(nbrs)
     if n <= 2:
         return list(range(n))
-    deg = tree.adj.sum(axis=1).astype(np.int64)
-    alive = np.ones(n, dtype=bool)
+    deg = [len(ws) for ws in nbrs]
+    layer = [v for v in range(n) if deg[v] == 1]
     remaining = n
-    layer = np.flatnonzero(deg == 1).tolist()
     while remaining > 2:
+        remaining -= len(layer)
         nxt = []
         for v in layer:
-            alive[v] = False
-        remaining -= len(layer)
-        for v in layer:
-            for w in np.flatnonzero(tree.adj[v]):
-                if alive[w]:
-                    deg[w] -= 1
-                    if deg[w] == 1:
-                        nxt.append(int(w))
+            for w in nbrs[v]:
+                deg[w] -= 1
+                if deg[w] == 1:
+                    nxt.append(w)
         layer = nxt
-    return sorted(np.flatnonzero(alive).tolist())
+    return sorted(layer)
 
 
-def _ahu_encode(tree: Graph, root: int) -> str:
+def _ahu_encode(nbrs, root: int) -> str:
     # iterative post-order; children sorted by encoding
-    enc: dict[int, str] = {}
+    enc = [""] * len(nbrs)
+    parent = [-1] * len(nbrs)
     order = []
-    parent = {root: -1}
     stack = [root]
     while stack:
         v = stack.pop()
         order.append(v)
-        for w in np.flatnonzero(tree.adj[v]):
-            w = int(w)
+        for w in nbrs[v]:
             if w != parent[v]:
                 parent[w] = v
                 stack.append(w)
     for v in reversed(order):
-        kids = sorted(enc[w] for w in np.flatnonzero(tree.adj[v]) if int(w) != parent[v])
+        kids = sorted(enc[w] for w in nbrs[v] if w != parent[v])
         enc[v] = "(" + "".join(kids) + ")"
     return enc[root]

@@ -39,8 +39,9 @@ __all__ = [
 class Graph:
     """Immutable simple undirected graph.
 
-    adj is a symmetric boolean (n, n) ndarray with a zero diagonal;
-    construction checks this and marks it read-only.
+    n >= 1; adj is a symmetric boolean (n, n) ndarray with a zero
+    diagonal; labels, if given, has one entry per vertex. Construction
+    checks this and marks adj read-only.
     """
 
     n: int
@@ -48,6 +49,12 @@ class Graph:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValueError(f"graph needs at least one vertex, got n={self.n}")
+        if self.labels is not None and len(self.labels) != self.n:
+            raise ValueError(
+                f"labels must have one entry per vertex: got {len(self.labels)} for n={self.n}"
+            )
         adj = self.adj
         if not isinstance(adj, np.ndarray) or adj.dtype != np.bool_:
             raise ValueError("adj must be a numpy array of dtype bool")
@@ -72,9 +79,7 @@ def from_edge_list(n: int, edges, labels=None) -> Graph:
 
     Duplicate edges (either orientation) collapse; loops are rejected.
     """
-    if n < 1:
-        raise ValueError("graph needs at least one vertex")
-    adj = np.zeros((n, n), dtype=bool)
+    adj = np.zeros((max(n, 0), max(n, 0)), dtype=bool)  # Graph rejects n < 1
     for u, v in edges:
         u, v = int(u), int(v)
         if u == v:
@@ -84,8 +89,6 @@ def from_edge_list(n: int, edges, labels=None) -> Graph:
         adj[u, v] = adj[v, u] = True
     if labels is not None:
         labels = tuple(str(x) for x in labels)
-        if len(labels) != n:
-            raise ValueError("labels must have one entry per vertex")
     return Graph(n=n, adj=adj, labels=labels)
 
 

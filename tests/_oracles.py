@@ -3,8 +3,8 @@
 Everything here deliberately avoids the package's own algorithms: trees
 come from Prufer sequences, line graphs from the textbook definition,
 blocks from a recursive lowpoint DFS, component counts from a
-union-find, and eigenvalues from a cyclic Jacobi iteration rather than the
-LAPACK routine the package calls.
+union-find, tree centers from eccentricities, and eigenvalues from a
+cyclic Jacobi iteration rather than the LAPACK routine the package calls.
 """
 
 from __future__ import annotations
@@ -45,6 +45,30 @@ def random_prufer_tree(rng: np.random.Generator, n: int) -> Graph:
     if n == 2:
         return prufer_to_tree(2, [])
     return prufer_to_tree(n, rng.integers(0, n, size=n - 2))
+
+
+def tree_key_oracle(g: Graph) -> str:
+    """Center-rooted canonical string of a tree in the package's format,
+    found another way: the centers are the vertices of least eccentricity
+    (a BFS from every vertex), and each rooted encoding is built by
+    recursion."""
+    nbrs = [np.flatnonzero(g.adj[v]).tolist() for v in range(g.n)]
+
+    def eccentricity(s):
+        dist = {s: 0}
+        queue = [s]
+        for v in queue:
+            for w in nbrs[v]:
+                if w not in dist:
+                    dist[w] = dist[v] + 1
+                    queue.append(w)
+        return max(dist.values())
+
+    def encode(v, parent):
+        return "(" + "".join(sorted(encode(w, v) for w in nbrs[v] if w != parent)) + ")"
+
+    ecc = [eccentricity(v) for v in range(g.n)]
+    return min(encode(c, -1) for c in range(g.n) if ecc[c] == min(ecc))
 
 
 def line_graph_oracle(g: Graph) -> Graph:

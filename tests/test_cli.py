@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -133,6 +134,22 @@ def test_enumerate_json_and_csv(capsys):
     assert lines[0] == "index,edges" and len(lines) == 3
 
 
+# SHA-256 of `enumerate --n N --format json` stdout; a change to any kept
+# representative, its edge order or the order of the trees changes it
+_ENUMERATE_JSON_SHA256 = {
+    10: "8f859f8b543b4fe87f6b6b2a7da8ec65ac49ea44178b8bc985c4116aea90c203",
+    12: "82a3908720cf42723d33b1b6856af068416376ac4e99e13065eeca9a46d47827",
+    13: "5ec403a84e87ddbd087c0285b9632ae280254ba6b59a6abfd92da0505d25e283",
+}
+
+
+@pytest.mark.parametrize("n", sorted(_ENUMERATE_JSON_SHA256))
+def test_enumerate_json_golden(capsys, n):
+    code, out, _ = _run(capsys, ["enumerate", "--n", str(n), "--format", "json"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _ENUMERATE_JSON_SHA256[n]
+
+
 def test_export_stdout_and_file(capsys, tmp_path):
     code, out, _ = _run(
         capsys,
@@ -210,8 +227,8 @@ def test_tol_flag(capsys, monkeypatch):
     code, out, _ = _run(capsys, ["verify", "thm-das", "--tol", "1e-6", "--format", "json"])
     assert code == 0
     assert [r["tolerance"] for r in json.loads(out)] == [1e-6]
-    for bad in ("0", "-1", "nan", "abc"):
+    for bad in ("0", "-1", "nan", "inf", "-inf", "abc"):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "thm-das", "--tol", bad])
         assert exc.value.code == 2
-    assert "--tol must be > 0" in capsys.readouterr().err
+    assert "--tol must be finite and > 0" in capsys.readouterr().err

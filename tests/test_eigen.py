@@ -157,6 +157,20 @@ def test_spectrum_from_pairs_weighted_merge():
     assert s.pairs == ((1.0 + 7.5e-10, 4),)
 
 
+def test_spectrum_from_pairs_chains_without_width_limit():
+    # each value is compared with the previous one, not with the group's
+    # first: steps of 0.9 * group_tol merge into one group 2.7 * group_tol wide
+    t = GROUP_TOL
+    s = spectrum_from_pairs([(0.0, 1), (0.9 * t, 1), (1.8 * t, 1), (2.7 * t, 1)])
+    assert s.pairs == ((1.35 * t, 4),)
+    assert group_spectrum(np.array([0.0, 0.9 * t, 1.8 * t, 2.7 * t])).pairs == s.pairs
+    # a single step wider than group_tol splits the chain
+    s = spectrum_from_pairs([(0.0, 1), (0.9 * t, 1), (2.0 * t, 1), (2.9 * t, 1)])
+    assert s.pairs == ((0.45 * t, 2), (2.45 * t, 2))
+    # the bound is inclusive
+    assert spectrum_from_pairs([(1.0, 1), (1.0 + 0.5, 1)], group_tol=0.5).pairs == ((1.25, 2),)
+
+
 def test_spectrum_validation():
     with pytest.raises(ValueError):
         Spectrum(pairs=((1.0, 1), (1.0, 1)), group_tol=GROUP_TOL)  # not increasing

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from spectree import families
 from spectree.families import (
     FamilyDescriptor,
     beta_m,
@@ -38,10 +39,12 @@ from _oracles import (
     kron_adjacency_oracle,
     line_graph_oracle,
     prufer_to_tree,
+    tree_key_oracle,
 )
 
 # free trees on 1..8 vertices (OEIS A000055)
 FREE_TREE_COUNTS = (1, 1, 1, 2, 3, 6, 11, 23)
+ROOTED_TREE_COUNTS = (1, 1, 2, 4, 9, 20, 48, 115, 286)  # OEIS A000081
 
 
 # ---- constructors ----
@@ -230,17 +233,71 @@ def test_enumeration_matches_prufer_oracle():
         assert got == oracle
 
 
+def _relabel(rng, tree):
+    perm = rng.permutation(tree.n)
+    return from_edge_list(tree.n, [(int(perm[u]), int(perm[v])) for u, v in edge_list(tree)])
+
+
 def test_canonical_form_is_isomorphism_invariant():
     rng = np.random.default_rng(11)
     for n in (5, 6, 7, 8):
         for tree in enumerate_free_trees(n)[:4]:
             base = tree_canonical_form(tree)
             for _ in range(5):
-                perm = rng.permutation(n)
-                relabeled = from_edge_list(
-                    n, [(int(perm[u]), int(perm[v])) for u, v in edge_list(tree)]
-                )
-                assert tree_canonical_form(relabeled) == base
+                assert tree_canonical_form(_relabel(rng, tree)) == base
+
+
+def test_canonical_form_matches_enumeration_keys(monkeypatch):
+    """The key the enumeration computes on each rooted tree's neighbour
+    lists equals tree_canonical_form of that tree and of a relabelled copy,
+    and the independent oracle's string. The first tree of each key is the
+    one kept, in key order."""
+    canonical = families._canonical
+    seen = []
+
+    def record(nbrs):
+        key = canonical(nbrs)
+        seen[-1].append((key, [(u, w) for u, ws in enumerate(nbrs) for w in ws if u < w]))
+        return key
+
+    monkeypatch.setattr(families, "_canonical", record)
+    enumerated = []
+    for n in range(1, len(ROOTED_TREE_COUNTS) + 1):
+        seen.append([])
+        enumerated.append(enumerate_free_trees(n))
+    monkeypatch.undo()
+
+    rng = np.random.default_rng(9)
+    for n, (rooted, keyed, trees) in enumerate(zip(ROOTED_TREE_COUNTS, seen, enumerated), 1):
+        assert len(keyed) == rooted  # one key per level sequence
+        first = {}
+        for key, edges in keyed:
+            g = from_edge_list(n, edges)
+            assert tree_canonical_form(g) == key == tree_key_oracle(g)
+            assert tree_canonical_form(_relabel(rng, g)) == key
+            first.setdefault(key, g)
+        assert [edge_list(t) for t in trees] == [edge_list(first[k]) for k in sorted(first)]
+
+
+def test_canonical_form_of_paths_and_stars():
+    # K_1, odd paths and stars on 3+ vertices have one center; even paths two
+    assert tree_canonical_form(path_graph(1)) == "()"
+    assert tree_canonical_form(path_graph(2)) == "(())"
+    assert tree_canonical_form(path_graph(3)) == "(()())" == tree_canonical_form(star_graph(3))
+    assert tree_canonical_form(path_graph(4)) == "((())())"
+    assert tree_canonical_form(path_graph(5)) == "((())(()))"
+    assert tree_canonical_form(star_graph(5)) == "(()()()())"
+    rng = np.random.default_rng(4)
+    for n in range(1, 10):
+        trees = [path_graph(n)]
+        if n >= 2:
+            # a star centred on the last vertex as well as on vertex 0
+            trees += [star_graph(n), from_edge_list(n, [(n - 1, i) for i in range(n - 1)])]
+        for t in trees:
+            key = tree_key_oracle(t)
+            assert tree_canonical_form(t) == key
+            assert tree_canonical_form(_relabel(rng, t)) == key
+    assert tree_canonical_form(star_graph(9)) == "(" + "()" * 8 + ")"
 
 
 def test_canonical_form_separates_nonisomorphic():

@@ -83,6 +83,19 @@ def test_graph_rejects_invalid_adjacency():
     assert Graph(n=2, adj=np.array([[False, True], [True, False]])).edge_count == 1
 
 
+def test_graph_rejects_bad_vertex_count_and_labels():
+    with pytest.raises(ValueError, match="at least one vertex, got n=0"):
+        Graph(n=0, adj=np.zeros((0, 0), dtype=bool))
+    with pytest.raises(ValueError, match="one entry per vertex: got 1 for n=2"):
+        Graph(n=2, adj=np.zeros((2, 2), dtype=bool), labels=("a",))
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="at least one vertex"):
+            from_edge_list(n, [])
+    with pytest.raises(ValueError, match="one entry per vertex: got 3 for n=2"):
+        from_edge_list(2, [(0, 1)], labels=["a", "b", "c"])
+    assert Graph(n=2, adj=np.zeros((2, 2), dtype=bool), labels=("a", "b")).labels == ("a", "b")
+
+
 def test_degrees_and_min_degree():
     g = from_edge_list(4, [(0, 1), (0, 2), (0, 3)])
     assert degrees(g).tolist() == [3, 1, 1, 1]
