@@ -65,6 +65,8 @@ def _print_rows(rows, header, fmt: str, out=None) -> None:
 
 
 def _cmd_spectrum(parser, args) -> int:
+    if args.matrix == "q" and args.m < 2:
+        parser.error("--m must be >= 2 for the q matrix")
     g = _resolve_graph(parser, args)
     if args.matrix == "laplacian":
         mat = laplacian(g)
@@ -94,6 +96,8 @@ def _cmd_aconn(parser, args) -> int:
 
 
 def _cmd_beta(parser, args) -> int:
+    if args.m < 2:
+        parser.error("--m must be >= 2")
     tree = _resolve_graph(parser, args)
     if not is_tree(tree):
         parser.error("beta expects a tree")
@@ -144,6 +148,8 @@ def _cmd_table2(parser, args) -> int:
 
 
 def _cmd_enumerate(parser, args) -> int:
+    if args.n < 1:
+        parser.error("--n must be >= 1")
     trees = enumerate_free_trees(args.n)
     if args.format == "json":
         print(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigen import GROUP_TOL, INT_TOL, Spectrum, eigenvalues, spectrum_from_pairs
+from .eigen import Spectrum, eigenvalues, group_spectrum, spectrum_from_pairs, spectrum_is_integral
 from .families import beta_m, tkst_tree
 from .spectra import laplacian
 
@@ -56,7 +56,7 @@ def star_product_spectrum(n: int, m: int) -> Spectrum:
         (float(n + (m - 1) * (n - 2) - 2), m - 1),
         (float((n - 1) * (m - 1)), n - 2),
     ]
-    return spectrum_from_pairs(pairs, GROUP_TOL)
+    return spectrum_from_pairs(pairs)
 
 
 def t1st_q_spectrum_m2(s: int, t: int) -> Spectrum:
@@ -71,7 +71,7 @@ def t1st_q_spectrum_m2(s: int, t: int) -> Spectrum:
         pairs.append((float(s - 1), s - 1))
     if t >= 2:
         pairs.append((float(t - 1), t - 1))
-    return spectrum_from_pairs(pairs, GROUP_TOL)
+    return spectrum_from_pairs(pairs)
 
 
 def t1st_line_laplacian_spectrum(s: int, t: int) -> Spectrum:
@@ -84,7 +84,7 @@ def t1st_line_laplacian_spectrum(s: int, t: int) -> Spectrum:
         pairs.append((float(s + 1), s - 1))
     if t >= 2:
         pairs.append((float(t + 1), t - 1))
-    return spectrum_from_pairs(pairs, GROUP_TOL)
+    return spectrum_from_pairs(pairs)
 
 
 # ---- double-star product integrality ----
@@ -194,7 +194,7 @@ def is_beta_laplacian_integral(s: int, t: int, m: int) -> bool:
     the numeric eigensolve of the assembled product."""
     exact = integrality_cubic(s, t, m).integer_roots() is not None
     vals = eigenvalues(laplacian(beta_m(tkst_tree(1, s, t), m)))
-    numeric = bool(np.all(np.abs(vals - np.round(vals)) <= INT_TOL))
+    numeric = spectrum_is_integral(group_spectrum(vals))
     if exact != numeric:
         raise RuntimeError(
             f"integer-root test ({exact}) and numeric integrality ({numeric}) "
@@ -231,7 +231,7 @@ def windmill_product_spectrum(eta: int, mu: int, m: int) -> Spectrum:
         (lo, w),
         (hi, w),
     ]
-    return spectrum_from_pairs(pairs, GROUP_TOL)
+    return spectrum_from_pairs(pairs)
 
 
 # ---- windmills with separated blade centers ----
@@ -278,7 +278,7 @@ def wprime_product_spectrum(eta: int, mu: int, m: int) -> Spectrum:
         (r1, w),
         (r2, w),
     ]
-    return spectrum_from_pairs(pairs, GROUP_TOL)
+    return spectrum_from_pairs(pairs)
 
 
 def wprime_algebraic_connectivity(eta: int, mu: int, m: int) -> float:
@@ -305,7 +305,7 @@ def book_line_laplacian_spectrum(k: int) -> Spectrum:
     pairs = [(0.0, 1), (2.0, 1), (so, 1), (si, 1)]
     if k >= 2:
         pairs += [(float(k + 2), k - 1), (lo, k - 1), (hi, k - 1)]
-    return spectrum_from_pairs(pairs, GROUP_TOL)
+    return spectrum_from_pairs(pairs)
 
 
 def book_aconn_bound(k: int, m: int) -> float:

@@ -14,6 +14,7 @@ in strictly increasing value order.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +39,7 @@ __all__ = [
     "spectrum_from_json",
 ]
 
-GROUP_TOL = 1e-7  # default tolerance for merging near-equal eigenvalues
+GROUP_TOL = 1e-7  # tolerance for merging near-equal eigenvalues
 INT_TOL = 1e-6    # threshold for calling a float an integer
 
 
@@ -70,17 +71,18 @@ def min_eigenvalue(m) -> float:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalue multiset as (value, multiplicity) pairs, values strictly
-    increasing."""
+    """Eigenvalue multiset as (value, multiplicity) pairs: finite values,
+    strictly increasing, each with a positive integer multiplicity."""
 
     pairs: tuple[tuple[float, int], ...]
-    group_tol: float = GROUP_TOL
 
     def __post_init__(self):
         last = None
         for v, mult in self.pairs:
-            if mult < 1 or int(mult) != mult:
-                raise ValueError("multiplicities must be positive integers")
+            if not math.isfinite(v):
+                raise ValueError(f"values must be finite, got {v!r}")
+            if not isinstance(mult, (int, np.integer)) or mult < 1:
+                raise ValueError(f"multiplicities must be positive integers, got {mult!r}")
             if last is not None and not v > last:
                 raise ValueError("values must be strictly increasing")
             last = v
@@ -101,34 +103,34 @@ class Spectrum:
         return f"Spectrum({inner})"
 
 
-def spectrum_from_pairs(pairs, group_tol: float = GROUP_TOL) -> Spectrum:
-    """Merge (value, multiplicity) pairs whose values chain within group_tol;
+def spectrum_from_pairs(pairs) -> Spectrum:
+    """Merge (value, multiplicity) pairs whose values chain within GROUP_TOL;
     a merged group takes its multiplicity-weighted mean value.
 
     Each sorted value is compared with the previous one, not with the
     group's first, so a group's width is unbounded: values spaced
-    0.9 * group_tol apart form one group, and four of them span
-    2.7 * group_tol."""
+    0.9 * GROUP_TOL apart form one group, and four of them span
+    2.7 * GROUP_TOL."""
     items = sorted((float(v), int(m)) for v, m in pairs if int(m) > 0)
     merged: list[list[float]] = []
     for v, m in items:
-        if merged and v - merged[-1][2] <= group_tol:
+        if merged and v - merged[-1][2] <= GROUP_TOL:
             tot, wsum, _ = merged[-1]
             merged[-1] = [tot + m, wsum + v * m, v]
         else:
             merged.append([m, v * m, v])
     out = tuple((wsum / tot, int(tot)) for tot, wsum, _ in merged)
-    return Spectrum(pairs=out, group_tol=group_tol)
+    return Spectrum(pairs=out)
 
 
-def group_spectrum(values, group_tol: float = GROUP_TOL) -> Spectrum:
+def group_spectrum(values) -> Spectrum:
     """Group an ascending eigenvalue array into a Spectrum."""
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 1:
         raise ValueError("need a 1-d value list")
     if np.any(np.diff(arr) < 0):
         raise ValueError("values must be ascending")
-    return spectrum_from_pairs([(float(v), 1) for v in arr], group_tol)
+    return spectrum_from_pairs([(float(v), 1) for v in arr])
 
 
 def second_smallest(s: Spectrum) -> float:
@@ -156,22 +158,20 @@ def scale(s: Spectrum, c: float) -> Spectrum:
     """Spectrum of c*M given the spectrum of M, c >= 0."""
     if c < 0:
         raise ValueError("scale factor must be >= 0")
-    return spectrum_from_pairs([(v * c, m) for v, m in s.pairs], s.group_tol)
+    return spectrum_from_pairs([(v * c, m) for v, m in s.pairs])
 
 
 def union_with_multiplicity(parts) -> Spectrum:
     """Multiset union of (Spectrum, weight) parts; each part's
     multiplicities are multiplied by its integer weight >= 1."""
     pairs = []
-    gt = 0.0
     for spec, w in parts:
         if int(w) != w or w < 1:
             raise ValueError("weights must be positive integers")
-        gt = max(gt, spec.group_tol)
         pairs.extend((v, m * int(w)) for v, m in spec.pairs)
     if not pairs:
         raise ValueError("union of nothing")
-    return spectrum_from_pairs(pairs, gt)
+    return spectrum_from_pairs(pairs)
 
 
 def spectrum_is_integral(s: Spectrum, tol: float = INT_TOL) -> bool:
@@ -181,14 +181,14 @@ def spectrum_is_integral(s: Spectrum, tol: float = INT_TOL) -> bool:
 # ---- serialization ----
 
 def spectrum_to_dict(s: Spectrum) -> dict:
-    return {"pairs": [[float(v), int(m)] for v, m in s.pairs], "tol": s.group_tol}
+    return {"pairs": [[float(v), int(m)] for v, m in s.pairs], "tol": GROUP_TOL}
 
 
 def spectrum_from_dict(d: dict) -> Spectrum:
-    return Spectrum(
-        pairs=tuple((float(v), int(m)) for v, m in d["pairs"]),
-        group_tol=float(d["tol"]),
-    )
+    """Inverse of spectrum_to_dict; "tol" must be GROUP_TOL."""
+    if d["tol"] != GROUP_TOL:
+        raise ValueError(f"spectrum tol must be {GROUP_TOL!r}, got {d['tol']!r}")
+    return Spectrum(pairs=tuple((float(v), m) for v, m in d["pairs"]))
 
 
 def spectrum_to_json(s: Spectrum) -> str:

@@ -4,7 +4,8 @@ and algebraic connectivity.
 The central identity: for a graph X on n vertices, the Laplacian spectrum
 of X x K_m is the multiset union of (m-1) * Lap(X) (weight 1) and the
 spectrum of Q_{m-1}(X) = A(X) + (m-1) D(X) (weight m-1). Both routes are
-implemented and cross-checked, never collapsed into one.
+implemented and cross-checked, never collapsed into one, and every such
+comparison (spectra, a(X x K_m), eigenvector lifts) allows ROUTE_TOL.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eigen import (
-    GROUP_TOL,
     Spectrum,
     eigensystem,
     eigenvalues,
@@ -28,6 +28,7 @@ from .families import complete_graph, kronecker, line_graph
 from .graphs import Graph, degrees, is_bipartite, is_connected, is_tree
 
 __all__ = [
+    "ROUTE_TOL",
     "adjacency_matrix",
     "laplacian",
     "q_matrix",
@@ -41,6 +42,8 @@ __all__ = [
     "a_beta_m",
     "eigvec_lift_check",
 ]
+
+ROUTE_TOL = 1e-8  # largest gap allowed between the direct and decomposed routes
 
 
 def adjacency_matrix(g: Graph) -> np.ndarray:
@@ -59,18 +62,18 @@ def q_matrix(g: Graph, m: int) -> np.ndarray:
     return adjacency_matrix(g) + (m - 1) * np.diag(degrees(g).astype(np.float64))
 
 
-def product_laplacian_spectrum_direct(g: Graph, m: int, group_tol: float = GROUP_TOL) -> Spectrum:
+def product_laplacian_spectrum_direct(g: Graph, m: int) -> Spectrum:
     """Assemble g x K_m explicitly and eigensolve its Laplacian."""
     prod = kronecker(g, complete_graph(m))
-    return group_spectrum(eigenvalues(laplacian(prod)), group_tol)
+    return group_spectrum(eigenvalues(laplacian(prod)))
 
 
-def product_laplacian_spectrum_decomposed(g: Graph, m: int, group_tol: float = GROUP_TOL) -> Spectrum:
+def product_laplacian_spectrum_decomposed(g: Graph, m: int) -> Spectrum:
     """Union of (m-1)*Lap(g) (weight 1) and Q_{m-1}(g) (weight m-1)."""
     if m < 2:
         raise ValueError("needs m >= 2")
-    lap_part = scale(group_spectrum(eigenvalues(laplacian(g)), group_tol), float(m - 1))
-    q_part = group_spectrum(eigenvalues(q_matrix(g, m)), group_tol)
+    lap_part = scale(group_spectrum(eigenvalues(laplacian(g))), float(m - 1))
+    q_part = group_spectrum(eigenvalues(q_matrix(g, m)))
     return union_with_multiplicity([(lap_part, 1), (q_part, m - 1)])
 
 
@@ -80,19 +83,17 @@ class ProductSpectrumResult:
     direct: Spectrum
     decomposed: Spectrum
 
-    def agree(self, tol: float = 1e-8) -> bool:
-        return spectra_equal(self.direct, self.decomposed, tol)
 
-
-def product_spectrum(g: Graph, m: int, tol: float = 1e-8) -> ProductSpectrumResult:
-    """Both spectrum routes for Lap(g x K_m); raises if they disagree."""
+def product_spectrum(g: Graph, m: int) -> ProductSpectrumResult:
+    """Both spectrum routes for Lap(g x K_m); raises if they disagree
+    beyond ROUTE_TOL."""
     res = ProductSpectrumResult(
         m=m,
         direct=product_laplacian_spectrum_direct(g, m),
         decomposed=product_laplacian_spectrum_decomposed(g, m),
     )
-    if not res.agree(tol):
-        raise RuntimeError(f"product spectrum routes disagree beyond {tol}")
+    if not spectra_equal(res.direct, res.decomposed, ROUTE_TOL):
+        raise RuntimeError(f"product spectrum routes disagree beyond {ROUTE_TOL}")
     return res
 
 
@@ -122,7 +123,7 @@ def a_beta_m(tree: Graph, m: int) -> float:
 
     Computed as min{(m-1) a(L), lambda_min(Q_{m-1}(L))} from the product
     decomposition, then cross-checked against the second-smallest eigenvalue
-    of the explicitly assembled product Laplacian (1e-8).
+    of the explicitly assembled product Laplacian (ROUTE_TOL).
     """
     if not is_tree(tree):
         raise ValueError("a_beta_m needs a tree")
@@ -133,38 +134,30 @@ def a_beta_m(tree: Graph, m: int) -> float:
     lg, _ = line_graph(tree)
     cand = min((m - 1) * algebraic_connectivity(lg), q_min(lg, m))
     direct = algebraic_connectivity(kronecker(lg, complete_graph(m)))
-    if abs(cand - direct) > 1e-8:
+    if abs(cand - direct) > ROUTE_TOL:
         raise RuntimeError(
             f"decomposition value {cand!r} disagrees with direct value {direct!r}"
         )
     return cand
 
 
-def eigvec_lift_check(g: Graph, m: int, tol: float = 1e-8) -> bool:
+def eigvec_lift_check(g: Graph, m: int) -> bool:
     """Verify the eigenvector lifts behind the product decomposition.
 
     An eigenvector v of Lap(g) at value u lifts to v (x) 1_m at (m-1)u; an
     eigenvector v' of Q_{m-1}(g) at value u' lifts to v' (x) w for any w
     with sum 0 (w = e_1 - e_2 here) at u'. True iff every unit-normalized
-    lifted vector has residual norm <= tol against the product Laplacian.
+    lifted vector has residual norm <= ROUTE_TOL against the product
+    Laplacian.
     """
     if m < 2:
         raise ValueError("needs m >= 2")
     prod_lap = laplacian(kronecker(g, complete_graph(m)))
-    ones = np.ones(m)
-    w = np.zeros(m)
-    w[0], w[1] = 1.0, -1.0
-
+    w = np.r_[1.0, -1.0, np.zeros(m - 2)]
     lvals, lvecs = eigensystem(laplacian(g))
     qvals, qvecs = eigensystem(q_matrix(g, m))
-    for vals, vecs, wgt, expect in (
-        (lvals, lvecs, ones, lambda u: (m - 1) * u),
-        (qvals, qvecs, w, lambda u: u),
-    ):
-        for i in range(g.n):
-            lifted = np.kron(vecs[:, i], wgt)
-            lifted = lifted / np.linalg.norm(lifted)
-            resid = prod_lap @ lifted - expect(vals[i]) * lifted
-            if float(np.linalg.norm(resid)) > tol:
-                return False
-    return True
+    # orthonormal columns: column k of kron(vecs, u) has norm |u|
+    lifted = np.hstack([np.kron(lvecs, np.ones((m, 1))) / np.sqrt(m), np.kron(qvecs, w[:, None]) / np.sqrt(2.0)])
+    expect = np.concatenate([(m - 1) * lvals, qvals])
+    resid = prod_lap @ lifted - lifted * expect
+    return float(np.linalg.norm(resid, axis=0).max()) <= ROUTE_TOL

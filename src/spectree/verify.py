@@ -20,14 +20,15 @@ from .closedform import (
     book_aconn_bound,
     book_line_laplacian_spectrum,
     integrality_cubic,
+    is_beta_laplacian_integral,
+    star_product_spectrum,
     t1st_line_laplacian_spectrum,
     windmill_product_spectrum,
     wprime_algebraic_connectivity,
     wprime_product_spectrum,
 )
-from .eigen import INT_TOL, eigenvalues
+from .eigen import eigenvalues, second_smallest
 from .families import (
-    beta_m,
     book_graph,
     complete_graph,
     diam4_tree,
@@ -269,8 +270,8 @@ def check_theorem_21(max_n: int = 8, m: int = 2, tol: float = 1e-8) -> Verificat
     over every tree with 3 <= n <= max_n.
 
     Paths at m = 2 (disconnected product, a = 0) and stars (complete line
-    graph, a = (n-2)(m-1)-1, which can exceed m-1) sit outside the
-    characterization and are checked against their own closed values.
+    graph, a from star_product_spectrum, which can exceed m-1) sit outside
+    the characterization and are checked against their own closed values.
     """
     if m < 2:
         raise ValueError("needs m >= 2")
@@ -292,7 +293,7 @@ def check_theorem_21(max_n: int = 8, m: int = 2, tol: float = 1e-8) -> Verificat
                     deviation=abs(a),
                 )
             elif is_star(tree):
-                ex = float((n - 2) * (m - 1) - 1)
+                ex = second_smallest(star_product_spectrum(n, m))
                 note = " (= m-1 here)" if ex == m - 1 else ""
                 inst = _eq_instance(desc + f" [star{note}]", ex, a, tol)
                 inst = replace(inst, expected=inst.expected + " (clique product)", passed=inst.passed and connected)
@@ -373,16 +374,14 @@ def check_corollary_21(ss=(2, 3, 4, 5), ts=(2, 3, 4, 5), ms=(2, 3), tol: float =
             for m in ms:
                 cc = integrality_cubic(s, t, m)
                 exact = cc.integer_roots()
-                vals = eigenvalues(laplacian(beta_m(tkst_tree(1, s, t), m)))
-                numeric = bool(np.all(np.abs(vals - np.round(vals)) <= INT_TOL))
-                out.append(
-                    CheckInstance(
-                        descriptor=f"s={s} t={t} m={m} integrality (cubic {cc.a},{cc.b},{cc.c})",
-                        expected="exact and numeric integrality verdicts agree",
-                        observed=f"exact={'none' if exact is None else exact}, numeric={numeric}",
-                        passed=(exact is not None) == numeric,
-                    )
-                )
+                try:  # raises when the exact and numeric verdicts disagree
+                    numeric = is_beta_laplacian_integral(s, t, m)
+                except RuntimeError as exc:
+                    observed, passed = str(exc), False
+                else:
+                    observed, passed = f"exact={'none' if exact is None else exact}, numeric={numeric}", True
+                desc = f"s={s} t={t} m={m} integrality (cubic {cc.a},{cc.b},{cc.c})"
+                out.append(CheckInstance(desc, "exact and numeric integrality verdicts agree", observed, passed))
     return VerificationReport("cor-2.1", tol, tuple(out))
 
 

@@ -186,8 +186,8 @@ def test_criterion_08_random_tree_decomposition_and_lifts():
         n = int(rng.integers(2, 9))
         tree = random_prufer_tree(rng, n)
         for m in (2, 3, 4):
-            assert product_spectrum(tree, m).agree(1e-8)
-            assert eigvec_lift_check(tree, m, 1e-8)
+            product_spectrum(tree, m)  # raises if the routes disagree
+            assert eigvec_lift_check(tree, m)
 
 
 def test_criterion_09_common_neighborhood_surgery_examples():

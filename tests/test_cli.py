@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from spectree import closedform
 from spectree.cli import main
 from spectree.families import tkst_tree
 from spectree.graphs import save_graph
@@ -79,6 +80,19 @@ def test_beta_rejects_non_tree(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["beta", "--family", "complete:4"])
     assert exc.value.code == 2
+
+
+def test_bad_m_and_n_are_usage_errors(capsys):
+    for argv in (
+        ["spectrum", "--family", "path:3", "--matrix", "q", "--m", "1"],
+        ["beta", "--family", "tkst:1,2,2", "--m", "1"],
+        ["enumerate", "--n", "0"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+    err = capsys.readouterr().err
+    assert "--m must be >= 2" in err and "--n must be >= 1" in err
 
 
 def test_graph_source_required(capsys, tmp_path):
@@ -207,6 +221,21 @@ def test_aconn_book_line(capsys):
     code, out, _ = _run(capsys, ["aconn", "--family", "book:3", "--line"])
     assert code == 0
     assert float(out.strip()) == pytest.approx((7 - math.sqrt(17)) / 2, abs=1e-5)
+
+
+def test_verify_fails_when_cor21_routes_disagree(capsys, monkeypatch):
+    # flip the numeric integrality verdict: every (s, t, m) instance must
+    # become a FAIL and the run must exit 1, not crash
+    real = closedform.spectrum_is_integral
+    monkeypatch.setattr(closedform, "spectrum_is_integral", lambda s: not real(s))
+    code, out, _ = _run(capsys, ["verify", "cor-2.1", "--format", "json"])
+    assert code == 1
+    (report,) = json.loads(out)
+    assert not report["ok"] and report["failed"] == 20
+    fails = [i for i in report["instances"] if not i["passed"] and not i["informational"]]
+    assert all("integrality" in i["descriptor"] and "disagree" in i["observed"] for i in fails)
+    code, out, _ = _run(capsys, ["verify", "cor-2.1"])
+    assert code == 1 and out.strip().endswith("overall: FAIL")
 
 
 def test_verify_bad_claim(capsys):

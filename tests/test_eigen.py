@@ -168,14 +168,17 @@ def test_spectrum_from_pairs_chains_without_width_limit():
     s = spectrum_from_pairs([(0.0, 1), (0.9 * t, 1), (2.0 * t, 1), (2.9 * t, 1)])
     assert s.pairs == ((0.45 * t, 2), (2.45 * t, 2))
     # the bound is inclusive
-    assert spectrum_from_pairs([(1.0, 1), (1.0 + 0.5, 1)], group_tol=0.5).pairs == ((1.25, 2),)
+    assert spectrum_from_pairs([(0.0, 1), (GROUP_TOL, 1)]).pairs == ((GROUP_TOL / 2, 2),)
 
 
 def test_spectrum_validation():
     with pytest.raises(ValueError):
-        Spectrum(pairs=((1.0, 1), (1.0, 1)), group_tol=GROUP_TOL)  # not increasing
-    with pytest.raises(ValueError):
-        Spectrum(pairs=((1.0, 0),), group_tol=GROUP_TOL)
+        Spectrum(pairs=((1.0, 1), (1.0, 1)))  # not increasing
+    with pytest.raises(ValueError, match="positive integers"):
+        Spectrum(pairs=((1.0, 0),))
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            Spectrum(pairs=((bad, 1),))
 
 
 def test_second_smallest():
@@ -222,6 +225,27 @@ def test_spectrum_json_round_trip():
     d = json.loads(blob)
     assert set(d) == {"pairs", "tol"}
     assert spectrum_from_dict(spectrum_to_dict(s)).pairs == s.pairs
+    assert d["tol"] == GROUP_TOL
+
+
+def test_spectrum_from_json_rejects_nan_value():
+    with pytest.raises(ValueError, match="finite, got nan"):
+        spectrum_from_json('{"pairs": [[NaN, 1]], "tol": 1e-07}')
+
+
+def test_spectrum_from_json_rejects_infinite_value():
+    with pytest.raises(ValueError, match="finite, got inf"):
+        spectrum_from_json('{"pairs": [[0.0, 1], [Infinity, 2]], "tol": 1e-07}')
+
+
+def test_spectrum_from_json_rejects_fractional_multiplicity():
+    with pytest.raises(ValueError, match="positive integers, got 1.5"):
+        spectrum_from_json('{"pairs": [[0.0, 1.5]], "tol": 1e-07}')
+
+
+def test_spectrum_from_json_rejects_other_tol():
+    with pytest.raises(ValueError, match="tol must be 1e-07, got 0.001"):
+        spectrum_from_json('{"pairs": [[0.0, 1]], "tol": 1e-3}')
 
 
 def test_default_tolerances_positive():

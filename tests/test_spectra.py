@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from spectree import spectra
+from spectree.eigen import eigensystem
 from spectree.families import (
     complete_graph,
     enumerate_free_trees,
@@ -77,8 +79,7 @@ def test_laplacian_psd_and_zero_row_sums():
 def test_product_spectrum_routes_agree():
     for g in _spot_graphs():
         for m in (2, 3):
-            res = product_spectrum(g, m)
-            assert res.agree(1e-8)
+            res = product_spectrum(g, m)  # raises if the routes disagree
             assert res.direct.dimension == g.n * m
             assert res.decomposed.dimension == g.n * m
 
@@ -153,13 +154,26 @@ def test_a_beta_m_below_bound_for_non_double_stars():
 def test_eigvec_lift_check():
     for g in (path_graph(4), _cycle(5), star_graph(5), complete_graph(3)):
         for m in (2, 3):
-            assert eigvec_lift_check(g, m, 1e-8)
+            assert eigvec_lift_check(g, m)
     with pytest.raises(ValueError):
         eigvec_lift_check(path_graph(3), 1)
+
+
+def test_eigvec_lift_check_rejects_wrong_eigenvalues(monkeypatch):
+    # eigenpairs whose values are off by 1e-6 leave residuals far above
+    # ROUTE_TOL, so the check must fail
+    def shifted(mat):
+        vals, vecs = eigensystem(mat)
+        return vals + 1e-6, vecs
+
+    monkeypatch.setattr(spectra, "eigensystem", shifted)
+    for g in (path_graph(4), _cycle(5), windmill_graph(3, 4)):
+        for m in (2, 3):
+            assert not eigvec_lift_check(g, m)
 
 
 def test_small_tree_sweep_decomposition():
     for n in range(2, 7):
         for tree in enumerate_free_trees(n):
-            assert product_spectrum(tree, 2).agree(1e-8)
-            assert eigvec_lift_check(tree, 3, 1e-8)
+            product_spectrum(tree, 2)  # raises if the routes disagree
+            assert eigvec_lift_check(tree, 3)
