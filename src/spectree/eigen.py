@@ -30,8 +30,6 @@ __all__ = [
     "group_spectrum",
     "spectrum_from_pairs",
     "spectra_equal",
-    "scale",
-    "union_with_multiplicity",
     "spectrum_is_integral",
     "spectrum_to_dict",
     "spectrum_from_dict",
@@ -107,11 +105,20 @@ def spectrum_from_pairs(pairs) -> Spectrum:
     """Merge (value, multiplicity) pairs whose values chain within GROUP_TOL;
     a merged group takes its multiplicity-weighted mean value.
 
+    Multiplicities must be non-negative integers; a pair with multiplicity
+    0 is dropped, so a closed form may list a part that is empty.
+
     Each sorted value is compared with the previous one, not with the
     group's first, so a group's width is unbounded: values spaced
     0.9 * GROUP_TOL apart form one group, and four of them span
     2.7 * GROUP_TOL."""
-    items = sorted((float(v), int(m)) for v, m in pairs if int(m) > 0)
+    items = []
+    for v, m in pairs:
+        if not isinstance(m, (int, np.integer)) or m < 0:
+            raise ValueError(f"multiplicities must be non-negative integers, got {m!r}")
+        if m > 0:
+            items.append((float(v), int(m)))
+    items.sort()
     merged: list[list[float]] = []
     for v, m in items:
         if merged and v - merged[-1][2] <= GROUP_TOL:
@@ -154,28 +161,8 @@ def spectra_equal(a: Spectrum, b: Spectrum, tol: float) -> bool:
     return float(np.max(np.abs(va - vb))) <= tol
 
 
-def scale(s: Spectrum, c: float) -> Spectrum:
-    """Spectrum of c*M given the spectrum of M, c >= 0."""
-    if c < 0:
-        raise ValueError("scale factor must be >= 0")
-    return spectrum_from_pairs([(v * c, m) for v, m in s.pairs])
-
-
-def union_with_multiplicity(parts) -> Spectrum:
-    """Multiset union of (Spectrum, weight) parts; each part's
-    multiplicities are multiplied by its integer weight >= 1."""
-    pairs = []
-    for spec, w in parts:
-        if int(w) != w or w < 1:
-            raise ValueError("weights must be positive integers")
-        pairs.extend((v, m * int(w)) for v, m in spec.pairs)
-    if not pairs:
-        raise ValueError("union of nothing")
-    return spectrum_from_pairs(pairs)
-
-
-def spectrum_is_integral(s: Spectrum, tol: float = INT_TOL) -> bool:
-    return all(abs(v - round(v)) <= tol for v, _ in s.pairs)
+def spectrum_is_integral(s: Spectrum) -> bool:
+    return all(abs(v - round(v)) <= INT_TOL for v, _ in s.pairs)
 
 
 # ---- serialization ----

@@ -154,16 +154,11 @@ def is_complete(g: Graph) -> bool:
 
 @dataclass(frozen=True)
 class BlockDecomposition:
-    """Blocks (maximal 2-connected subgraphs, bridges as K_2), cut vertices,
-    and the block structure tree obtained by replacing each block with an
-    edge between its cut vertices (fresh leaf nodes pad blocks with fewer
-    than two cut vertices). block_tree is None when some block has three or
-    more cut vertices.
-    """
+    """Blocks (maximal 2-connected subgraphs, bridges as K_2) and cut
+    vertices."""
 
     blocks: tuple[tuple[int, ...], ...]
     cut_vertices: tuple[int, ...]
-    block_tree: Graph | None
 
 
 def block_decomposition(g: Graph) -> BlockDecomposition:
@@ -173,7 +168,7 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
         raise ValueError("block decomposition requires a connected graph")
     n = g.n
     if n == 1:
-        return BlockDecomposition(((0,),), (), _block_tree([(0,)], set()))
+        return BlockDecomposition(((0,),), ())
 
     nbrs = _neighbors(g)
     disc = [-1] * n
@@ -227,24 +222,7 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
         for v in b:
             membership[v] = membership.get(v, 0) + 1
     cut = tuple(sorted(v for v, c in membership.items() if c >= 2))
-    return BlockDecomposition(tuple(blocks), cut, _block_tree(blocks, set(cut)))
-
-
-def _block_tree(blocks, cut_set) -> Graph | None:
-    node_of = {v: i for i, v in enumerate(sorted(cut_set))}
-    labels = [f"cut:{v}" for v in sorted(cut_set)]
-    edges = []
-    nid = len(node_of)
-    for b in blocks:
-        ends = [node_of[v] for v in b if v in cut_set]
-        if len(ends) > 2:
-            return None
-        while len(ends) < 2:
-            ends.append(nid)
-            labels.append(f"end:{nid}")
-            nid += 1
-        edges.append((ends[0], ends[1]))
-    return from_edge_list(nid, edges, labels=labels)
+    return BlockDecomposition(tuple(blocks), cut)
 
 
 def is_restricted(g: Graph) -> bool:
@@ -262,8 +240,9 @@ def blocks_all_complete(g: Graph) -> bool:
 
 
 def block_structure_is_star(g: Graph) -> bool:
-    tree = block_decomposition(g).block_tree
-    return tree is not None and is_star(tree)
+    """True iff one vertex lies in every block, i.e. at most one cut vertex:
+    with two, the block tree holds a path of three edges."""
+    return len(block_decomposition(g).cut_vertices) <= 1
 
 
 # ---- JSON ----

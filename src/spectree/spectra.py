@@ -20,9 +20,7 @@ from .eigen import (
     eigenvalues,
     group_spectrum,
     min_eigenvalue,
-    scale,
     spectra_equal,
-    union_with_multiplicity,
 )
 from .families import complete_graph, kronecker, line_graph
 from .graphs import Graph, degrees, is_bipartite, is_connected, is_tree
@@ -69,12 +67,11 @@ def product_laplacian_spectrum_direct(g: Graph, m: int) -> Spectrum:
 
 
 def product_laplacian_spectrum_decomposed(g: Graph, m: int) -> Spectrum:
-    """Union of (m-1)*Lap(g) (weight 1) and Q_{m-1}(g) (weight m-1)."""
-    if m < 2:
-        raise ValueError("needs m >= 2")
-    lap_part = scale(group_spectrum(eigenvalues(laplacian(g))), float(m - 1))
-    q_part = group_spectrum(eigenvalues(q_matrix(g, m)))
-    return union_with_multiplicity([(lap_part, 1), (q_part, m - 1)])
+    """Union of (m-1)*Lap(g) (weight 1) and Q_{m-1}(g) (weight m-1),
+    grouped once; q_matrix rejects m < 2."""
+    lap_part = (m - 1) * eigenvalues(laplacian(g))
+    q_part = np.repeat(eigenvalues(q_matrix(g, m)), m - 1)
+    return group_spectrum(np.sort(np.concatenate([lap_part, q_part])))
 
 
 @dataclass(frozen=True)

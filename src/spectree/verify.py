@@ -307,7 +307,7 @@ def check_theorem_21(max_n: int = 8, m: int = 2, tol: float = 1e-8) -> Verificat
     return VerificationReport("thm-2.1", tol, tuple(out))
 
 
-def check_case_bounds_thm21(ts=(1, 2, 3), ms=(2, 3), tol: float = 1e-8) -> VerificationReport:
+def check_case_bounds_thm21(tol: float = 1e-8) -> VerificationReport:
     """The proof's case analysis for X = T(1,1,t).
 
     t = 1: Q_{m-1}(L(T(1,1,1))) = Q_{m-1}(P_3) has eigenvalues m-1 and
@@ -317,8 +317,8 @@ def check_case_bounds_thm21(ts=(1, 2, 3), ms=(2, 3), tol: float = 1e-8) -> Verif
     itself strictly below m-1.
     """
     out = []
-    for m in ms:
-        for t in ts:
+    for m in (2, 3):
+        for t in (1, 2, 3):
             lg, _ = line_graph(tkst_tree(1, 1, t))
             qv = eigenvalues(q_matrix(lg, m))
             if t == 1:
@@ -350,7 +350,7 @@ def check_case_bounds_thm21(ts=(1, 2, 3), ms=(2, 3), tol: float = 1e-8) -> Verif
     return VerificationReport("thm-2.1-cases", tol, tuple(out))
 
 
-def check_corollary_21(ss=(2, 3, 4, 5), ts=(2, 3, 4, 5), ms=(2, 3), tol: float = 1e-8) -> VerificationReport:
+def check_corollary_21(tol: float = 1e-8) -> VerificationReport:
     """Integrality of Lap(L(T(1,s,t)) x K_m) decided by the exact cubic
     root test, against numeric near-integrality of the assembled product.
 
@@ -359,10 +359,8 @@ def check_corollary_21(ss=(2, 3, 4, 5), ts=(2, 3, 4, 5), ms=(2, 3), tol: float =
     closed form and the eigensolver, which give s+t+1.
     """
     out = []
-    for s in ss:
-        for t in ts:
-            if t > s:
-                continue
+    for s in range(2, 6):
+        for t in range(2, s + 1):
             lg, _ = line_graph(tkst_tree(1, s, t))
             top = float(eigenvalues(laplacian(lg))[-1])
             closed_top = float(t1st_line_laplacian_spectrum(s, t).pairs[-1][0])
@@ -371,7 +369,7 @@ def check_corollary_21(ss=(2, 3, 4, 5), ts=(2, 3, 4, 5), ms=(2, 3), tol: float =
             )
             printed = f"s={s} t={t} source text prints top value s+t-1"
             out.append(_eq_instance(printed, float(s + t - 1), top, tol, informational=True))
-            for m in ms:
+            for m in (2, 3):
                 cc = integrality_cubic(s, t, m)
                 exact = cc.integer_roots()
                 try:  # raises when the exact and numeric verdicts disagree
@@ -403,7 +401,7 @@ def _triangle_chain(blocks: int = 3) -> Graph:
     return from_edge_list(2 * blocks + 1, edges)
 
 
-def check_theorem_23(etas=(3, 4), mus=(3, 4, 5), ms=(2, 3), tol: float = 1e-8) -> VerificationReport:
+def check_theorem_23(tol: float = 1e-8) -> VerificationReport:
     """For connected restricted graphs with complete blocks and >= 3
     blocks: a(X x K_m) = m-1 iff min degree >= 2 and the block structure
     is a star.
@@ -415,8 +413,8 @@ def check_theorem_23(etas=(3, 4), mus=(3, 4, 5), ms=(2, 3), tol: float = 1e-8) -
     reported informationally.
     """
     out = []
-    for eta in etas:
-        for mu in mus:
+    for eta in (3, 4):
+        for mu in (3, 4, 5):
             wm = windmill_graph(eta, mu)
             preds = (
                 is_restricted(wm),
@@ -433,7 +431,7 @@ def check_theorem_23(etas=(3, 4), mus=(3, 4, 5), ms=(2, 3), tol: float = 1e-8) -
                     passed=all(preds),
                 )
             )
-            for m in ms:
+            for m in (2, 3):
                 a = algebraic_connectivity(kronecker(wm, complete_graph(m)))
                 out.append(_eq_instance(f"windmill:{eta},{mu} m={m} a(X x K_m)", float(m - 1), a, tol))
 
@@ -444,7 +442,7 @@ def check_theorem_23(etas=(3, 4), mus=(3, 4, 5), ms=(2, 3), tol: float = 1e-8) -
         ("windmill:3,3+rim pendant", "non-star structure", _windmill_plus_pendant(3, 3, at_hub=False)),
         ("triangle chain", "delta=2, path structure", _triangle_chain(3)),
     )
-    for m in ms:
+    for m in (2, 3):
         a = algebraic_connectivity(kronecker(hubbed, complete_graph(m)))
         sub = ((m - 1) * (x + 1) - math.sqrt(((m - 1) * (x - 1)) ** 2 + 4.0)) / 2.0
         out.append(
@@ -550,11 +548,11 @@ def check_theorem_das_examples(tol: float = 1e-8) -> VerificationReport:
 
 # ---- clique arrangement closed forms ----
 
-def check_theorem_31(etas=(2, 3, 4), mus=(3, 4, 5), ms=(2, 3), tol: float = 1e-8) -> VerificationReport:
+def check_theorem_31(tol: float = 1e-8) -> VerificationReport:
     out = []
-    for eta in etas:
-        for mu in mus:
-            for m in ms:
+    for eta in (2, 3, 4):
+        for mu in (3, 4, 5):
+            for m in (2, 3):
                 closed = windmill_product_spectrum(eta, mu, m).values()
                 direct = product_laplacian_spectrum_direct(windmill_graph(eta, mu), m).values()
                 desc = f"windmill:{eta},{mu} m={m}"
@@ -563,11 +561,11 @@ def check_theorem_31(etas=(2, 3, 4), mus=(3, 4, 5), ms=(2, 3), tol: float = 1e-8
     return VerificationReport("thm-3.1", tol, tuple(out))
 
 
-def check_theorem_32(etas=(3, 4, 5), mus=(3, 4, 5), ms=(2, 3), tol: float = 1e-8) -> VerificationReport:
+def check_theorem_32(tol: float = 1e-8) -> VerificationReport:
     out = []
-    for eta in etas:
-        for mu in mus:
-            for m in ms:
+    for eta in (3, 4, 5):
+        for mu in (3, 4, 5):
+            for m in (2, 3):
                 closed = wprime_product_spectrum(eta, mu, m).values()
                 direct = product_laplacian_spectrum_direct(wprime_graph(eta, mu), m).values()
                 aconn = wprime_algebraic_connectivity(eta, mu, m)
@@ -577,9 +575,9 @@ def check_theorem_32(etas=(3, 4, 5), mus=(3, 4, 5), ms=(2, 3), tol: float = 1e-8
     return VerificationReport("thm-3.2", tol, tuple(out))
 
 
-def check_theorem_33(ks=(2, 3, 4, 5, 6, 7, 8), ms=(2, 3), tol: float = 1e-8) -> VerificationReport:
+def check_theorem_33(tol: float = 1e-8) -> VerificationReport:
     out = []
-    for k in ks:
+    for k in range(2, 9):
         lg, _ = line_graph(book_graph(k))
         closed = book_line_laplacian_spectrum(k).values()
         vals = eigenvalues(laplacian(lg))
@@ -594,7 +592,7 @@ def check_theorem_33(ks=(2, 3, 4, 5, 6, 7, 8), ms=(2, 3), tol: float = 1e-8) -> 
                 tol,
             )
         )
-        for m in ms:
+        for m in (2, 3):
             a = algebraic_connectivity(kronecker(lg, complete_graph(m)))
             out.append(
                 _le_instance(f"book:{k} m={m} a(L(B_k) x K_m) within bound", book_aconn_bound(k, m), a, tol)
@@ -681,9 +679,10 @@ _TABLE2 = (
     ("r13 n=7", ((0, 1), (1, 2), (2, 3), (2, 4), (2, 5), (2, 6)), 0.466, (0.72, 1.86, 2.91, 3.93, 4.94, 5.95), ()),
     ("r14 n=7 T(1,2,3)", ((0, 4), (0, 5), (0, 1), (1, 2), (1, 3), (1, 6)), 0.398, (1, 2, 3, 4, 5, 6), ()),
 )
+_TABLE2_TOL = 0.01  # the table's print precision
 
 
-def reproduce_table2(tol: float = 0.01) -> VerificationReport:
+def reproduce_table2() -> VerificationReport:
     """Recompute the survey table: a(X) and a(L(X) x K_m) for m = 2..7 over
     its fourteen small trees, comparing against the printed values at the
     print precision.
@@ -697,13 +696,13 @@ def reproduce_table2(tol: float = 0.01) -> VerificationReport:
     for name, edges, a_printed, betas, skip in _TABLE2:
         tree = from_edge_list(1 + len(edges), edges)
         a = algebraic_connectivity(tree)
-        out.append(_eq_instance(f"{name} a(X)", float(a_printed), a, tol, informational="a" in skip))
+        out.append(_eq_instance(f"{name} a(X)", float(a_printed), a, _TABLE2_TOL, informational="a" in skip))
         for m, printed in zip(range(2, 8), betas):
             val = a_beta_m(tree, m)
             out.append(
-                _eq_instance(f"{name} a(beta_{m})", float(printed), val, tol, informational=m in skip)
+                _eq_instance(f"{name} a(beta_{m})", float(printed), val, _TABLE2_TOL, informational=m in skip)
             )
-    return VerificationReport("table-2", tol, tuple(out))
+    return VerificationReport("table-2", _TABLE2_TOL, tuple(out))
 
 
 # ---- registry ----
@@ -733,7 +732,7 @@ ALL_CLAIMS = tuple(_CLAIMS)
 def run_claim(
     claim_id: str, tol: float = 1e-8, max_n: int = 8, m: int | None = None
 ) -> list[VerificationReport]:
-    """Run the named claim with its default instance ranges.
+    """Run the named claim over its fixed instance ranges.
 
     max_n and m narrow the thm-2.1 tree sweep; other claims ignore them.
     """

@@ -11,7 +11,6 @@ from spectree.eigen import (
     eigenvalues,
     group_spectrum,
     min_eigenvalue,
-    scale,
     second_smallest,
     spectra_equal,
     spectrum_from_dict,
@@ -20,7 +19,6 @@ from spectree.eigen import (
     spectrum_is_integral,
     spectrum_to_dict,
     spectrum_to_json,
-    union_with_multiplicity,
 )
 from spectree.families import (
     beta_m,
@@ -190,19 +188,6 @@ def test_second_smallest():
         second_smallest(group_spectrum(np.array([4.0])))
 
 
-def test_scale_and_union():
-    s = group_spectrum(np.array([0.0, 1.0, 3.0]))
-    doubled = scale(s, 2.0)
-    assert doubled.pairs == ((0.0, 1), (2.0, 1), (6.0, 1))
-    with pytest.raises(ValueError):
-        scale(s, -1.0)
-    u = union_with_multiplicity([(s, 1), (doubled, 2)])
-    assert u.dimension == 9
-    assert u.values()[0] == 0.0 and (u.values() == 0.0).sum() == 3
-    with pytest.raises(ValueError):
-        union_with_multiplicity([(s, 0)])
-
-
 def test_spectra_equal():
     a = group_spectrum(np.array([0.0, 1.0, 1.0, 3.0]))
     b = spectrum_from_pairs([(1.0 + 1e-10, 2), (0.0, 1), (3.0, 1)])
@@ -210,6 +195,16 @@ def test_spectra_equal():
     c = group_spectrum(np.array([0.0, 1.0, 3.0, 3.0]))
     assert not spectra_equal(a, c, tol=1e-8)
     assert not spectra_equal(a, group_spectrum(np.array([0.0])), tol=1e-8)
+
+
+def test_spectrum_from_pairs_rejects_fractional_multiplicity():
+    with pytest.raises(ValueError, match="non-negative integers, got 1.5"):
+        spectrum_from_pairs([(0.0, 1.5), (2.0, 1)])
+
+
+def test_spectrum_from_pairs_rejects_negative_multiplicity():
+    with pytest.raises(ValueError, match="non-negative integers, got -1"):
+        spectrum_from_pairs([(0.0, 1), (3.0, -1)])
 
 
 def test_spectrum_is_integral():

@@ -175,6 +175,21 @@ def test_cut_vertices_match_brute_force():
         assert set(dec.cut_vertices) == brute_cut_vertices(g), edge_list(g)
 
 
+def test_block_shape_predicates_match_oracles():
+    # star: one vertex lies in every block; restricted: no block holds
+    # more than two cut vertices
+    seen = set()
+    for g in _sample_graphs():
+        blocks = recursive_blocks(g)
+        cut = brute_cut_vertices(g)
+        star = bool(frozenset.intersection(*blocks))
+        restricted = all(len(b & cut) <= 2 for b in blocks)
+        assert block_structure_is_star(g) == star, edge_list(g)
+        assert is_restricted(g) == restricted, edge_list(g)
+        seen.add((star, restricted))
+    assert seen == {(True, True), (False, True), (False, False)}
+
+
 def test_blocks_cover_every_edge_once():
     for g in _sample_graphs():
         dec = block_decomposition(g)
@@ -215,7 +230,6 @@ def test_windmill_block_structure():
     assert is_restricted(w)
     assert blocks_all_complete(w)
     assert block_structure_is_star(w)
-    assert is_star(dec.block_tree)
 
 
 def test_triangle_chain_structure():
@@ -231,7 +245,6 @@ def test_triangle_chain_structure():
 def test_three_cut_vertex_block_not_restricted():
     g = from_edge_list(6, [(0, 1), (1, 2), (0, 2), (0, 3), (1, 4), (2, 5)])
     assert not is_restricted(g)
-    assert block_decomposition(g).block_tree is None
     assert not block_structure_is_star(g)
 
 
