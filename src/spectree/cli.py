@@ -46,7 +46,7 @@ def _resolve_graph(parser: argparse.ArgumentParser, args) -> Graph:
     else:
         try:
             g = load_graph(args.file)
-        except (OSError, ValueError, KeyError) as exc:
+        except (OSError, ValueError) as exc:
             parser.error(f"cannot load {args.file}: {exc}")
     if getattr(args, "line", False):
         g, _ = line_graph(g)
@@ -189,7 +189,11 @@ def _cmd_export(parser, args) -> int:
     if args.out == "-":
         _print_rows(rows, ("s", "t", "m", "a_beta"), "csv")
     else:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        try:
+            fh = open(args.out, "w", encoding="utf-8")
+        except OSError as exc:
+            parser.error(f"cannot write {args.out}: {exc}")
+        with fh:
             _print_rows(rows, ("s", "t", "m", "a_beta"), "csv", out=fh)
     return 0
 

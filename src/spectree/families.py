@@ -227,12 +227,26 @@ def enumerate_free_trees(n: int) -> list[Graph]:
     is computed on plain neighbour lists; a Graph is built only for the
     first tree of each new encoding. Deterministic: output is sorted by
     that encoding.
+
+    Only sequences that can come first for their free tree are generated
+    and keyed, which keeps every representative and the order unchanged:
+    - the generator emits canonical sequences in decreasing lexicographic
+      order;
+    - a canonical sequence lists the deepest child first, so it starts
+      0, 1, .., h with h the root's height;
+    - so a free tree's first sequence has the largest h, its root is a
+      vertex of greatest eccentricity (h = diameter), and for n >= 2 such
+      a peripheral vertex is a leaf.
+    The leaf-rooted sequences whose root's height is the diameter thus
+    hold each free tree's first sequence, in the same relative order.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     reps: dict[str, Graph] = {}
-    for seq in _rooted_level_sequences(n):
+    for seq in _leaf_rooted_level_sequences(n):
         edges = _edges_from_levels(seq)
+        if not _height_is_diameter(edges):
+            continue
         nbrs: list[list[int]] = [[] for _ in range(n)]
         for u, v in edges:
             nbrs[u].append(v)
@@ -260,6 +274,32 @@ def _rooted_level_sequences(n: int):
         seq = seq[:p]
         while len(seq) < n:
             seq.append(seq[-(p - q)])
+
+
+def _leaf_rooted_level_sequences(n: int):
+    """The rooted sequences on n vertices whose root has one child, in the
+    order _rooted_level_sequences(n) emits them: the root above each
+    rooted tree on n - 1 vertices."""
+    if n == 1:
+        yield [0]
+        return
+    for seq in _rooted_level_sequences(n - 1):
+        yield [0] + [x + 1 for x in seq]
+
+
+def _height_is_diameter(edges) -> bool:
+    # (parent, child) edges in preorder, so reversed they finish every
+    # child before its parent; a vertex's two deepest branches give the
+    # longest path through it
+    deep = [0] * (len(edges) + 1)
+    second = [0] * (len(edges) + 1)
+    for u, v in reversed(edges):
+        d = deep[v] + 1
+        if d > deep[u]:
+            deep[u], second[u] = d, deep[u]
+        elif d > second[u]:
+            second[u] = d
+    return max(map(sum, zip(deep, second))) == deep[0]
 
 
 def _edges_from_levels(seq) -> list[tuple[int, int]]:

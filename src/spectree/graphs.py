@@ -255,7 +255,31 @@ def graph_to_dict(g: Graph) -> dict:
 
 
 def graph_from_dict(d: dict) -> Graph:
-    return from_edge_list(int(d["n"]), d["edges"], labels=d.get("labels"))
+    """Inverse of graph_to_dict. Raises ValueError naming the problem for
+    anything but an object with an int "n", "edges" a list of two-int
+    pairs and, optionally, "labels" a list of strings."""
+    if not isinstance(d, dict):
+        raise ValueError(f"graph must be a JSON object, got {type(d).__name__}")
+    for key in ("n", "edges"):
+        if key not in d:
+            raise ValueError(f"graph has no {key!r}")
+    n, edges, labels = d["n"], d["edges"], d.get("labels")
+    if not _is_int(n):
+        raise ValueError(f"graph 'n' must be an integer, got {n!r}")
+    if not isinstance(edges, list):
+        raise ValueError(f"graph 'edges' must be a list, got {edges!r}")
+    for e in edges:
+        if not (isinstance(e, (list, tuple)) and len(e) == 2 and all(map(_is_int, e))):
+            raise ValueError(f"each edge must be a pair of integers, got {e!r}")
+    if labels is not None and not (
+        isinstance(labels, list) and all(isinstance(x, str) for x in labels)
+    ):
+        raise ValueError(f"graph 'labels' must be a list of strings, got {labels!r}")
+    return from_edge_list(n, edges, labels=labels)
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def load_graph(path) -> Graph:

@@ -3,7 +3,8 @@
 Everything here deliberately avoids the package's own algorithms: trees
 come from Prufer sequences, line graphs from the textbook definition,
 blocks from a recursive lowpoint DFS, component counts from a
-union-find, tree centers from eccentricities, and eigenvalues from a
+union-find, tree centers from eccentricities, enumeration representatives
+from the largest level sequence over all roots, and eigenvalues from a
 cyclic Jacobi iteration rather than the LAPACK routine the package calls.
 """
 
@@ -69,6 +70,24 @@ def tree_key_oracle(g: Graph) -> str:
 
     ecc = [eccentricity(v) for v in range(g.n)]
     return min(encode(c, -1) for c in range(g.n) if ecc[c] == min(ecc))
+
+
+def representative_oracle(tree: Graph) -> list[tuple[int, int]]:
+    """Edges of the representative the enumeration keeps for this tree,
+    found another way: over all roots, the lexicographically largest
+    canonical level sequence (each vertex's depth, then its children's
+    sequences in decreasing order, by recursion), with vertices numbered
+    in sequence order and each joined to the last earlier vertex one level
+    up."""
+    nbrs = [np.flatnonzero(tree.adj[v]).tolist() for v in range(tree.n)]
+
+    def levels(v, parent, depth):
+        kids = sorted((levels(w, v, depth + 1) for w in nbrs[v] if w != parent), reverse=True)
+        return [depth] + [x for kid in kids for x in kid]
+
+    seq = max(levels(r, -1, 0) for r in range(tree.n))
+    edges = [(max(j for j in range(i) if seq[j] == seq[i] - 1), i) for i in range(1, tree.n)]
+    return sorted(edges)
 
 
 def line_graph_oracle(g: Graph) -> Graph:

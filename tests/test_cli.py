@@ -121,6 +121,16 @@ def test_bad_file(capsys, tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("doc", ["[1, 2]", '{"n": 3, "edges": 5}', '{"n": "3", "edges": []}'])
+def test_malformed_graph_file_is_usage_error(capsys, tmp_path, doc):
+    path = tmp_path / "g.json"
+    path.write_text(doc)
+    with pytest.raises(SystemExit) as exc:
+        main(["aconn", "--file", str(path)])
+    assert exc.value.code == 2
+    assert f"cannot load {path}: graph " in capsys.readouterr().err
+
+
 def test_bad_family(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["aconn", "--family", "tkst:1"])
@@ -154,6 +164,7 @@ _ENUMERATE_JSON_SHA256 = {
     10: "8f859f8b543b4fe87f6b6b2a7da8ec65ac49ea44178b8bc985c4116aea90c203",
     12: "82a3908720cf42723d33b1b6856af068416376ac4e99e13065eeca9a46d47827",
     13: "5ec403a84e87ddbd087c0285b9632ae280254ba6b59a6abfd92da0505d25e283",
+    14: "fddb015135a47036503500d5f2db608243fcde5d4b2ee9640c2cd6054e7c9e4d",
 }
 
 
@@ -184,6 +195,14 @@ def test_export_stdout_and_file(capsys, tmp_path):
     )
     assert code == 0 and out == ""
     assert path.read_text().strip().splitlines()[0] == "s,t,m,a_beta"
+
+
+def test_export_unwritable_out_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "missing" / "sweep.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["export", "--s-range", "1:1", "--t-range", "1:1", "--m-range", "2:2", "--out", str(path)])
+    assert exc.value.code == 2
+    assert f"cannot write {path}" in capsys.readouterr().err
 
 
 def test_export_bad_range(capsys):

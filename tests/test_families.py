@@ -39,12 +39,16 @@ from _oracles import (
     kron_adjacency_oracle,
     line_graph_oracle,
     prufer_to_tree,
+    representative_oracle,
     tree_key_oracle,
 )
 
 # free trees on 1..8 vertices (OEIS A000055)
 FREE_TREE_COUNTS = (1, 1, 1, 2, 3, 6, 11, 23)
-ROOTED_TREE_COUNTS = (1, 1, 2, 4, 9, 20, 48, 115, 286)  # OEIS A000081
+# canonical keys the enumeration computes for n = 1..9: one per leaf-rooted
+# level sequence whose root's height is the tree's diameter, against
+# 1, 1, 2, 4, 9, 20, 48, 115, 286 rooted sequences (OEIS A000081)
+KEYS_PER_N = (1, 1, 1, 2, 4, 8, 17, 37, 84)
 
 
 # ---- constructors ----
@@ -250,8 +254,8 @@ def test_canonical_form_is_isomorphism_invariant():
 def test_canonical_form_matches_enumeration_keys(monkeypatch):
     """The key the enumeration computes on each rooted tree's neighbour
     lists equals tree_canonical_form of that tree and of a relabelled copy,
-    and the independent oracle's string. The first tree of each key is the
-    one kept, in key order."""
+    and the independent oracle's string. Only the peripheral-leaf-rooted
+    sequences are keyed."""
     canonical = families._canonical
     seen = []
 
@@ -261,22 +265,28 @@ def test_canonical_form_matches_enumeration_keys(monkeypatch):
         return key
 
     monkeypatch.setattr(families, "_canonical", record)
-    enumerated = []
-    for n in range(1, len(ROOTED_TREE_COUNTS) + 1):
+    for n in range(1, len(KEYS_PER_N) + 1):
         seen.append([])
-        enumerated.append(enumerate_free_trees(n))
+        enumerate_free_trees(n)
     monkeypatch.undo()
 
     rng = np.random.default_rng(9)
-    for n, (rooted, keyed, trees) in enumerate(zip(ROOTED_TREE_COUNTS, seen, enumerated), 1):
-        assert len(keyed) == rooted  # one key per level sequence
-        first = {}
+    assert tuple(len(keyed) for keyed in seen) == KEYS_PER_N
+    for n, keyed in enumerate(seen, 1):
         for key, edges in keyed:
             g = from_edge_list(n, edges)
             assert tree_canonical_form(g) == key == tree_key_oracle(g)
             assert tree_canonical_form(_relabel(rng, g)) == key
-            first.setdefault(key, g)
-        assert [edge_list(t) for t in trees] == [edge_list(first[k]) for k in sorted(first)]
+
+
+def test_enumeration_keeps_largest_level_sequence():
+    """Each kept tree is the one its lexicographically largest level
+    sequence over all roots builds, the first of its kind the rooted
+    generator emits. The oracle sees a relabelled copy."""
+    rng = np.random.default_rng(12)
+    for n in range(1, 11):
+        for tree in enumerate_free_trees(n):
+            assert edge_list(tree) == representative_oracle(_relabel(rng, tree))
 
 
 def test_canonical_form_of_paths_and_stars():

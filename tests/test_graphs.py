@@ -266,6 +266,30 @@ def test_graph_dict_round_trip():
     assert h.labels == g.labels
 
 
+@pytest.mark.parametrize(
+    "doc, problem",
+    [
+        ([1, 2], "must be a JSON object"),
+        ({"edges": []}, "no 'n'"),
+        ({"n": 3}, "no 'edges'"),
+        ({"n": "3", "edges": []}, "'n' must be an integer"),
+        ({"n": 3.7, "edges": []}, "'n' must be an integer"),
+        ({"n": True, "edges": []}, "'n' must be an integer"),
+        ({"n": 3, "edges": 5}, "'edges' must be a list"),
+        ({"n": 3, "edges": [[0, 1, 2]]}, "pair of integers"),
+        ({"n": 3, "edges": [[0, "1"]]}, "pair of integers"),
+        ({"n": 3, "edges": [[0, 1.0]]}, "pair of integers"),
+        ({"n": 3, "edges": [[0, True]]}, "pair of integers"),
+        ({"n": 3, "edges": [5]}, "pair of integers"),
+        ({"n": 2, "edges": [[0, 1]], "labels": "ab"}, "'labels' must be a list of strings"),
+        ({"n": 2, "edges": [[0, 1]], "labels": [0, 1]}, "'labels' must be a list of strings"),
+    ],
+)
+def test_graph_from_dict_rejects_malformed(doc, problem):
+    with pytest.raises(ValueError, match=problem):
+        graph_from_dict(json.loads(json.dumps(doc)))
+
+
 def test_graph_file_round_trip(tmp_path):
     g = windmill_graph(3, 3)
     path = tmp_path / "w.json"
