@@ -172,10 +172,27 @@ def spectrum_to_dict(s: Spectrum) -> dict:
 
 
 def spectrum_from_dict(d: dict) -> Spectrum:
-    """Inverse of spectrum_to_dict; "tol" must be GROUP_TOL."""
-    if d["tol"] != GROUP_TOL:
-        raise ValueError(f"spectrum tol must be {GROUP_TOL!r}, got {d['tol']!r}")
-    return Spectrum(pairs=tuple((float(v), m) for v, m in d["pairs"]))
+    """Inverse of spectrum_to_dict. Raises ValueError naming the problem for
+    anything but an object with "pairs" a list of [value, multiplicity]
+    pairs and "tol" equal to GROUP_TOL."""
+    if not isinstance(d, dict):
+        raise ValueError(f"spectrum must be a JSON object, got {type(d).__name__}")
+    for key in ("pairs", "tol"):
+        if key not in d:
+            raise ValueError(f"spectrum has no {key!r}")
+    pairs, tol = d["pairs"], d["tol"]
+    if tol != GROUP_TOL:
+        raise ValueError(f"spectrum tol must be {GROUP_TOL!r}, got {tol!r}")
+    if not isinstance(pairs, list):
+        raise ValueError(f"spectrum 'pairs' must be a list, got {pairs!r}")
+    for p in pairs:
+        if not (isinstance(p, (list, tuple)) and len(p) == 2 and _is_number(p[0])):
+            raise ValueError(f"each spectrum pair must be [number, multiplicity], got {p!r}")
+    return Spectrum(pairs=tuple((float(v), m) for v, m in pairs))
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
 
 
 def spectrum_to_json(s: Spectrum) -> str:

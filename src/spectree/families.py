@@ -223,10 +223,9 @@ def enumerate_free_trees(n: int) -> list[Graph]:
     """All unlabeled trees on n vertices, one representative each.
 
     Rooted trees are generated by the level-sequence successor rule and
-    reduced to free trees by their center-rooted canonical encoding, which
-    is computed on plain neighbour lists; a Graph is built only for the
-    first tree of each new encoding. Deterministic: output is sorted by
-    that encoding.
+    reduced to free trees by their center-rooted canonical encoding; a
+    Graph is built only for the first tree of each new encoding.
+    Deterministic: output is sorted by that encoding.
 
     Only sequences that can come first for their free tree are generated
     and keyed, which keeps every representative and the order unchanged:
@@ -239,21 +238,18 @@ def enumerate_free_trees(n: int) -> list[Graph]:
       a peripheral vertex is a leaf.
     The leaf-rooted sequences whose root's height is the diameter thus
     hold each free tree's first sequence, in the same relative order.
+    Their leading 0, 1, .., h is a diametral path, so the centers are its
+    middle vertices and the key re-roots along that path alone
+    (_spine_key).
     """
     if n < 1:
         raise ValueError("need n >= 1")
     reps: dict[str, Graph] = {}
     for seq in _leaf_rooted_level_sequences(n):
-        edges = _edges_from_levels(seq)
-        if not _height_is_diameter(edges):
-            continue
-        nbrs: list[list[int]] = [[] for _ in range(n)]
-        for u, v in edges:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        key = _canonical(nbrs)
-        if key not in reps:
-            reps[key] = from_edge_list(n, edges)
+        parent = _parents(seq)
+        key = _spine_key(parent, max(seq))
+        if key is not None and key not in reps:
+            reps[key] = from_edge_list(n, [(parent[v], v) for v in range(1, n)])
     return [reps[k] for k in sorted(reps)]
 
 
@@ -287,79 +283,79 @@ def _leaf_rooted_level_sequences(n: int):
         yield [0] + [x + 1 for x in seq]
 
 
-def _height_is_diameter(edges) -> bool:
-    # (parent, child) edges in preorder, so reversed they finish every
-    # child before its parent; a vertex's two deepest branches give the
-    # longest path through it
-    deep = [0] * (len(edges) + 1)
-    second = [0] * (len(edges) + 1)
-    for u, v in reversed(edges):
-        d = deep[v] + 1
+def _parents(seq) -> list[int]:
+    # a vertex's parent is the last earlier vertex one level up
+    parent = [-1] * len(seq)
+    last = [0] * len(seq)  # last vertex seen at each level
+    for v in range(1, len(seq)):
+        parent[v] = last[seq[v] - 1]
+        last[seq[v]] = v
+    return parent
+
+
+def _spine_key(parent, h: int) -> str | None:
+    """Canonical encoding of a tree given by the parent array of its
+    vertices in preorder, where 0, 1, .., h is a path from the root to a
+    deepest vertex; None when the root's height h is not the diameter."""
+    n = len(parent)
+    deep = [0] * n  # deepest branch below each vertex
+    for v in range(n - 1, 0, -1):
+        d, u = deep[v] + 1, parent[v]
+        if deep[u] + d > h:
+            return None
         if d > deep[u]:
-            deep[u], second[u] = d, deep[u]
-        elif d > second[u]:
-            second[u] = d
-    return max(map(sum, zip(deep, second))) == deep[0]
-
-
-def _edges_from_levels(seq) -> list[tuple[int, int]]:
-    edges = []
-    stack = [0]  # ancestors; vertex at depth d sits at stack[d]
-    for i in range(1, len(seq)):
-        del stack[seq[i]:]
-        edges.append((stack[-1], i))
-        stack.append(i)
-    return edges
+            deep[u] = d
+    # 0..h is a diametral path, so its middle vertices are the centers
+    c = h // 2
+    kids: list[list[str]] = [[] for _ in range(n)]
+    for v in range(n - 1, c, -1):
+        kids[parent[v]].append("(" + "".join(sorted(kids[v])) + ")")
+    # path vertices k < c hold only their off-path children; re-root
+    # along the path, carrying the encoding of the part above k + 1
+    up: list[str] = []
+    for k in range(c):
+        up = ["(" + "".join(sorted(kids[k] + up)) + ")"]
+    key = "(" + "".join(sorted(kids[c] + up)) + ")"
+    if h % 2:
+        # bicentral: kids[c] ends with c + 1, the child appended last
+        up = ["(" + "".join(sorted(kids[c][:-1] + up)) + ")"]
+        key = min(key, "(" + "".join(sorted(kids[c + 1] + up)) + ")")
+    return key
 
 
 def tree_canonical_form(tree: Graph) -> str:
     """Canonical encoding of an unlabeled tree: rooted encoding with sorted
     child encodings, rooted at the center (minimum over both centers when
-    the tree is bicentral). Equal strings iff isomorphic."""
+    the tree is bicentral). Equal strings iff isomorphic.
+
+    The tree is relabelled in preorder from a vertex r farthest from vertex
+    0, which is peripheral, listing the deepest child first; vertices
+    0, 1, .., h then form a diametral path and _spine_key applies, as in
+    enumerate_free_trees."""
     if not is_tree(tree):
         raise ValueError("canonical form defined for trees")
-    return _canonical(_neighbors(tree))
-
-
-def _canonical(nbrs) -> str:
-    return min(_ahu_encode(nbrs, c) for c in _centers(nbrs))
-
-
-def _centers(nbrs) -> list[int]:
-    # strip leaves layer by layer; a stripped vertex's degree later drops
-    # to 0, never back to 1, so the last layer found is the center
-    n = len(nbrs)
-    if n <= 2:
-        return list(range(n))
-    deg = [len(ws) for ws in nbrs]
-    layer = [v for v in range(n) if deg[v] == 1]
-    remaining = n
-    while remaining > 2:
-        remaining -= len(layer)
-        nxt = []
-        for v in layer:
-            for w in nbrs[v]:
-                deg[w] -= 1
-                if deg[w] == 1:
-                    nxt.append(w)
-        layer = nxt
-    return sorted(layer)
-
-
-def _ahu_encode(nbrs, root: int) -> str:
-    # iterative post-order; children sorted by encoding
-    enc = [""] * len(nbrs)
-    parent = [-1] * len(nbrs)
-    order = []
-    stack = [root]
+    nbrs = _neighbors(tree)
+    r = _bfs(nbrs, 0)[0][-1]
+    order, up = _bfs(nbrs, r)
+    height = [0] * tree.n
+    for v in reversed(order[1:]):
+        height[up[v]] = max(height[up[v]], height[v] + 1)
+    parent: list[int] = []
+    stack = [(r, -1)]
     while stack:
-        v = stack.pop()
-        order.append(v)
+        v, p = stack.pop()
+        kids = sorted((w for w in nbrs[v] if w != up[v]), key=height.__getitem__)
+        stack += [(w, len(parent)) for w in kids]  # deepest is popped first
+        parent.append(p)
+    return _spine_key(parent, height[r])
+
+
+def _bfs(nbrs, s: int) -> tuple[list[int], list[int]]:
+    # visiting order (farthest from s last) and each vertex's parent
+    order, up = [s], [-1] * len(nbrs)
+    for v in order:
         for w in nbrs[v]:
-            if w != parent[v]:
-                parent[w] = v
-                stack.append(w)
-    for v in reversed(order):
-        kids = sorted(enc[w] for w in nbrs[v] if w != parent[v])
-        enc[v] = "(" + "".join(kids) + ")"
-    return enc[root]
+            if w != up[v]:
+                up[w] = v
+                order.append(w)
+    return order, up

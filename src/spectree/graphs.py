@@ -77,10 +77,15 @@ class Graph:
 def from_edge_list(n: int, edges, labels=None) -> Graph:
     """Build a Graph from an iterable of (u, v) pairs.
 
-    Duplicate edges (either orientation) collapse; loops are rejected.
+    Endpoints must be ints or numpy integers, not bools. Duplicate edges
+    (either orientation) collapse; loops are rejected.
     """
     adj = np.zeros((max(n, 0), max(n, 0)), dtype=bool)  # Graph rejects n < 1
     for u, v in edges:
+        # plain ints pass on the cheap type test, others need _is_int
+        if not (type(u) is int or _is_int(u)) or not (type(v) is int or _is_int(v)):
+            bad = v if _is_int(u) else u
+            raise ValueError(f"edge endpoints must be integers, got {bad!r}")
         u, v = int(u), int(v)
         if u == v:
             raise ValueError(f"loop at vertex {u}")
@@ -279,7 +284,7 @@ def graph_from_dict(d: dict) -> Graph:
 
 
 def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 def load_graph(path) -> Graph:

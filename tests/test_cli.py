@@ -165,6 +165,7 @@ _ENUMERATE_JSON_SHA256 = {
     12: "82a3908720cf42723d33b1b6856af068416376ac4e99e13065eeca9a46d47827",
     13: "5ec403a84e87ddbd087c0285b9632ae280254ba6b59a6abfd92da0505d25e283",
     14: "fddb015135a47036503500d5f2db608243fcde5d4b2ee9640c2cd6054e7c9e4d",
+    15: "910f7f643979560c8a108c9ec1d3a31b19959e9fea0e5802b72a3bfd94a3030b",
 }
 
 

@@ -243,5 +243,18 @@ def test_spectrum_from_json_rejects_other_tol():
         spectrum_from_json('{"pairs": [[0.0, 1]], "tol": 1e-3}')
 
 
+@pytest.mark.parametrize("doc, problem", [
+    ([1, 2], "must be a JSON object, got list"),
+    ({"tol": 1e-07}, "has no 'pairs'"),
+    ({"pairs": []}, "has no 'tol'"),
+    ({"pairs": 5, "tol": 1e-07}, "'pairs' must be a list, got 5"),
+    ({"pairs": [[0.0, 1, 2]], "tol": 1e-07}, r"must be \[number, multiplicity\], got \[0.0, 1, 2\]"),
+    ({"pairs": [["0", 1]], "tol": 1e-07}, r"must be \[number, multiplicity\], got \['0', 1\]"),
+])
+def test_spectrum_from_dict_names_malformed_shape(doc, problem):
+    with pytest.raises(ValueError, match=problem):
+        spectrum_from_dict(doc)
+
+
 def test_default_tolerances_positive():
     assert 0 < GROUP_TOL < 1e-3

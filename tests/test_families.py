@@ -39,6 +39,7 @@ from _oracles import (
     kron_adjacency_oracle,
     line_graph_oracle,
     prufer_to_tree,
+    random_prufer_tree,
     representative_oracle,
     tree_key_oracle,
 )
@@ -252,19 +253,20 @@ def test_canonical_form_is_isomorphism_invariant():
 
 
 def test_canonical_form_matches_enumeration_keys(monkeypatch):
-    """The key the enumeration computes on each rooted tree's neighbour
-    lists equals tree_canonical_form of that tree and of a relabelled copy,
+    """The key the enumeration computes from each rooted tree's parent
+    array equals tree_canonical_form of that tree and of a relabelled copy,
     and the independent oracle's string. Only the peripheral-leaf-rooted
-    sequences are keyed."""
-    canonical = families._canonical
+    sequences get a key; the others are turned away with None."""
+    spine_key = families._spine_key
     seen = []
 
-    def record(nbrs):
-        key = canonical(nbrs)
-        seen[-1].append((key, [(u, w) for u, ws in enumerate(nbrs) for w in ws if u < w]))
+    def record(parent, h):
+        key = spine_key(parent, h)
+        if key is not None:
+            seen[-1].append((key, [(parent[v], v) for v in range(1, len(parent))]))
         return key
 
-    monkeypatch.setattr(families, "_canonical", record)
+    monkeypatch.setattr(families, "_spine_key", record)
     for n in range(1, len(KEYS_PER_N) + 1):
         seen.append([])
         enumerate_free_trees(n)
@@ -277,6 +279,43 @@ def test_canonical_form_matches_enumeration_keys(monkeypatch):
             g = from_edge_list(n, edges)
             assert tree_canonical_form(g) == key == tree_key_oracle(g)
             assert tree_canonical_form(_relabel(rng, g)) == key
+
+
+def test_canonical_form_of_random_trees():
+    """Arbitrary labelled trees, re-rooted at a peripheral vertex, get the
+    oracle's key, and so does every relabelled copy."""
+    rng = np.random.default_rng(21)
+    for n in range(3, 41):
+        for _ in range(12):
+            tree = random_prufer_tree(rng, n)
+            key = tree_key_oracle(tree)
+            assert tree_canonical_form(tree) == key
+            assert tree_canonical_form(_relabel(rng, tree)) == key
+
+
+def _caterpillar(legs):
+    # a path on len(legs) vertices with legs[i] leaves hung on vertex i;
+    # its diameter is len(legs) - 1, plus one for each loaded end
+    edges = [(i, i + 1) for i in range(len(legs) - 1)]
+    for i, k in enumerate(legs):
+        for _ in range(k):
+            edges.append((i, len(edges) + 1))
+    return from_edge_list(len(edges) + 1, edges)
+
+
+@pytest.mark.parametrize("legs", [
+    (2, 0, 1, 3),           # diameter 5: two centers
+    (1, 2, 0, 2, 1),        # diameter 6: one center
+    (0, 3, 1, 1, 2, 0),     # diameter 5
+    (3, 1, 0, 0, 1, 2, 1),  # diameter 8
+])
+def test_canonical_form_of_caterpillars(legs):
+    tree = _caterpillar(legs)
+    key = tree_key_oracle(tree)
+    assert tree_canonical_form(tree) == key
+    rng = np.random.default_rng(len(legs))
+    for _ in range(20):
+        assert tree_canonical_form(_relabel(rng, tree)) == key
 
 
 def test_enumeration_keeps_largest_level_sequence():
@@ -308,6 +347,8 @@ def test_canonical_form_of_paths_and_stars():
             assert tree_canonical_form(t) == key
             assert tree_canonical_form(_relabel(rng, t)) == key
     assert tree_canonical_form(star_graph(9)) == "(" + "()" * 8 + ")"
+    off_zero = from_edge_list(7, [(3, i) for i in range(7) if i != 3])  # centred on vertex 3
+    assert tree_canonical_form(off_zero) == "(" + "()" * 6 + ")" == tree_key_oracle(off_zero)
 
 
 def test_canonical_form_separates_nonisomorphic():

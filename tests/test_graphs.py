@@ -59,6 +59,17 @@ def test_from_edge_list_rejects_bad_edges():
         from_edge_list(3, [(-1, 1)])
 
 
+@pytest.mark.parametrize("edge, bad", [((0, 1.7), "1.7"), ((True, 2), "True"), (("0", 1), "'0'")])
+def test_from_edge_list_rejects_non_integer_endpoints(edge, bad):
+    with pytest.raises(ValueError, match=f"endpoints must be integers, got {bad}"):
+        from_edge_list(3, [edge])
+
+
+def test_from_edge_list_takes_numpy_integers():
+    g = from_edge_list(3, [(np.int64(0), np.int32(1)), (np.uint8(1), 2)])
+    assert edge_list(g) == [(0, 1), (1, 2)]
+
+
 def test_adjacency_is_read_only():
     g = from_edge_list(3, [(0, 1)])
     with pytest.raises(ValueError):
