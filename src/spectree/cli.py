@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from .eigen import eigenvalues, group_spectrum, spectrum_to_dict
@@ -117,16 +116,14 @@ def _cmd_beta(parser, args) -> int:
 
 
 def _cmd_verify(parser, args) -> int:
-    if not (math.isfinite(args.tol) and args.tol > 0):
-        parser.error("--tol must be finite and > 0")
     if args.m is not None and args.m < 2:
         parser.error("--m must be >= 2")
-    if args.max_n < 2:
-        parser.error("--max-n must be >= 2")
+    if args.max_n < 3:
+        parser.error("--max-n must be >= 3")
     claims = list(ALL_CLAIMS) if args.claim == "all" else [args.claim]
     reports = []
     for cid in claims:
-        reports.extend(run_claim(cid, args.tol, max_n=args.max_n, m=args.m))
+        reports.extend(run_claim(cid, max_n=args.max_n, m=args.m))
     if args.format == "json":
         print(json.dumps([r.to_dict() for r in reports]))
     else:
@@ -225,12 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run claim checks")
     p.add_argument("claim", choices=("all",) + ALL_CLAIMS)
-    p.add_argument(
-        "--tol",
-        type=float,
-        default=1e-8,
-        help="comparison tolerance, finite and > 0; table-2 uses its fixed print precision (0.01)",
-    )
     p.add_argument("--max-n", type=int, default=8, help="tree size cap for the thm-2.1 sweep")
     p.add_argument("--m", type=int, default=None, help="restrict thm-2.1 to a single m")
     p.add_argument("--format", choices=("text", "json"), default="text")

@@ -93,10 +93,7 @@ def star_graph(n: int) -> Graph:
 def complete_graph(n: int) -> Graph:
     if n < 1:
         raise ValueError("complete needs n >= 1")
-    adj = ~np.eye(n, dtype=bool)
-    if n == 1:
-        adj = np.zeros((1, 1), dtype=bool)
-    return Graph(n=n, adj=adj)
+    return Graph(n=n, adj=~np.eye(n, dtype=bool))
 
 
 def tkst_tree(k: int, s: int, t: int) -> Graph:
@@ -331,11 +328,13 @@ def tree_canonical_form(tree: Graph) -> str:
     The tree is relabelled in preorder from a vertex r farthest from vertex
     0, which is peripheral, listing the deepest child first; vertices
     0, 1, .., h then form a diametral path and _spine_key applies, as in
-    enumerate_free_trees."""
-    if not is_tree(tree):
-        raise ValueError("canonical form defined for trees")
+    enumerate_free_trees. The first BFS also checks that the graph is a
+    tree: connected, with n - 1 edges."""
     nbrs = _neighbors(tree)
-    r = _bfs(nbrs, 0)[0][-1]
+    order = _bfs(nbrs, 0)[0]
+    if len(order) != tree.n or tree.edge_count != tree.n - 1:
+        raise ValueError("canonical form defined for trees")
+    r = order[-1]
     order, up = _bfs(nbrs, r)
     height = [0] * tree.n
     for v in reversed(order[1:]):
@@ -351,11 +350,13 @@ def tree_canonical_form(tree: Graph) -> str:
 
 
 def _bfs(nbrs, s: int) -> tuple[list[int], list[int]]:
-    # visiting order (farthest from s last) and each vertex's parent
+    # the vertices reachable from s in visiting order (farthest last) and
+    # each one's parent, s its own; unreached vertices keep -1
     order, up = [s], [-1] * len(nbrs)
+    up[s] = s
     for v in order:
         for w in nbrs[v]:
-            if w != up[v]:
+            if up[w] < 0:
                 up[w] = v
                 order.append(w)
     return order, up

@@ -5,7 +5,8 @@ The central identity: for a graph X on n vertices, the Laplacian spectrum
 of X x K_m is the multiset union of (m-1) * Lap(X) (weight 1) and the
 spectrum of Q_{m-1}(X) = A(X) + (m-1) D(X) (weight m-1). Both routes are
 implemented and cross-checked, never collapsed into one, and every such
-comparison (spectra, a(X x K_m), eigenvector lifts) allows ROUTE_TOL.
+comparison (spectra, a(X x K_m), eigenvector lifts) allows ROUTE_TOL. The
+verify checks compare at ROUTE_TOL too.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -54,6 +54,7 @@ from .graphs import (
     min_degree,
 )
 from .spectra import (
+    ROUTE_TOL,
     a_beta_m,
     algebraic_connectivity,
     laplacian,
@@ -131,17 +132,7 @@ class VerificationReport:
             "failed": self.failed,
             "informational": self.informational,
             "worst_deviation": self.worst_deviation,
-            "instances": [
-                {
-                    "descriptor": i.descriptor,
-                    "expected": i.expected,
-                    "observed": i.observed,
-                    "passed": i.passed,
-                    "informational": i.informational,
-                    "deviation": i.deviation,
-                }
-                for i in self.instances
-            ],
+            "instances": [asdict(i) for i in self.instances],
         }
 
     def to_json(self) -> str:
@@ -167,7 +158,7 @@ def _fmt(x: float) -> str:
     return f"{x:.10g}"
 
 
-def _eq_instance(desc, expected, observed, tol, informational=False) -> CheckInstance:
+def _eq_instance(desc, expected, observed, informational=False, tol=ROUTE_TOL) -> CheckInstance:
     dev = abs(observed - expected)
     return CheckInstance(
         descriptor=desc,
@@ -179,7 +170,7 @@ def _eq_instance(desc, expected, observed, tol, informational=False) -> CheckIns
     )
 
 
-def _le_instance(desc, bound, observed, tol, informational=False) -> CheckInstance:
+def _le_instance(desc, bound, observed, informational=False, tol=ROUTE_TOL) -> CheckInstance:
     over = max(0.0, observed - bound)
     return CheckInstance(
         descriptor=desc,
@@ -191,25 +182,25 @@ def _le_instance(desc, bound, observed, tol, informational=False) -> CheckInstan
     )
 
 
-def _lt_instance(desc, bound, observed, tol) -> CheckInstance:
-    """observed must sit strictly below bound, by more than tol."""
+def _lt_instance(desc, bound, observed) -> CheckInstance:
+    """observed must sit strictly below bound, by more than ROUTE_TOL."""
     return CheckInstance(
         descriptor=desc,
         expected=f"< {_fmt(bound)}",
         observed=_fmt(observed),
-        passed=observed < bound - tol,
+        passed=observed < bound - ROUTE_TOL,
         deviation=max(0.0, observed - bound),
     )
 
 
-def _multiset_instance(desc, closed, direct, tol, expected="multisets equal") -> CheckInstance:
+def _multiset_instance(desc, closed, direct, expected="multisets equal") -> CheckInstance:
     """Closed-form against directly solved eigenvalues, both ascending arrays."""
     dev = math.inf if len(closed) != len(direct) else float(np.max(np.abs(closed - direct)))
     return CheckInstance(
         descriptor=desc,
         expected=expected,
         observed=f"max deviation {dev:.3g}",
-        passed=dev <= tol,
+        passed=dev <= ROUTE_TOL,
         deviation=dev,
     )
 
@@ -265,7 +256,7 @@ def classify_diam4(tree: Graph):
 
 # ---- the double-star characterization ----
 
-def check_theorem_21(max_n: int = 8, m: int = 2, tol: float = 1e-8) -> VerificationReport:
+def check_theorem_21(max_n: int = 8, m: int = 2) -> VerificationReport:
     """a(L(X) x K_m) = m-1 exactly for the double stars T(1,s,t), s,t >= 2,
     over every tree with 3 <= n <= max_n.
 
@@ -275,6 +266,8 @@ def check_theorem_21(max_n: int = 8, m: int = 2, tol: float = 1e-8) -> Verificat
     """
     if m < 2:
         raise ValueError("needs m >= 2")
+    if max_n < 3:
+        raise ValueError("needs max_n >= 3")
     out = []
     for n in range(3, max_n + 1):
         for idx, tree in enumerate(enumerate_free_trees(n)):
@@ -289,25 +282,25 @@ def check_theorem_21(max_n: int = 8, m: int = 2, tol: float = 1e-8) -> Verificat
                     descriptor=desc + " [path]",
                     expected="disconnected product, a = 0",
                     observed=f"connected={connected}, a={_fmt(a)}",
-                    passed=(not connected) and abs(a) <= tol,
+                    passed=(not connected) and abs(a) <= ROUTE_TOL,
                     deviation=abs(a),
                 )
             elif is_star(tree):
                 ex = second_smallest(star_product_spectrum(n, m))
                 note = " (= m-1 here)" if ex == m - 1 else ""
-                inst = _eq_instance(desc + f" [star{note}]", ex, a, tol)
+                inst = _eq_instance(desc + f" [star{note}]", ex, a)
                 inst = replace(inst, expected=inst.expected + " (clique product)", passed=inst.passed and connected)
             elif cls is not None and cls[1] >= 2:
                 s, t = cls
-                inst = _eq_instance(desc + f" [T(1,{s},{t})]", float(m - 1), a, tol)
+                inst = _eq_instance(desc + f" [T(1,{s},{t})]", float(m - 1), a)
             else:
-                inst = _lt_instance(desc, float(m - 1), a, tol)
+                inst = _lt_instance(desc, float(m - 1), a)
                 inst = replace(inst, passed=inst.passed and connected)
             out.append(inst)
-    return VerificationReport("thm-2.1", tol, tuple(out))
+    return VerificationReport("thm-2.1", ROUTE_TOL, tuple(out))
 
 
-def check_case_bounds_thm21(tol: float = 1e-8) -> VerificationReport:
+def check_case_bounds_thm21() -> VerificationReport:
     """The proof's case analysis for X = T(1,1,t).
 
     t = 1: Q_{m-1}(L(T(1,1,1))) = Q_{m-1}(P_3) has eigenvalues m-1 and
@@ -332,25 +325,25 @@ def check_case_bounds_thm21(tol: float = 1e-8) -> VerificationReport:
                         descriptor=f"m={m} t=1 Q_{{m-1}}(P_3) roots",
                         expected=f"= {{{_fmt(closed[0])}, {_fmt(closed[1])}, {_fmt(closed[2])}}}",
                         observed="{" + ", ".join(_fmt(v) for v in qv) + "}",
-                        passed=dev <= tol,
+                        passed=dev <= ROUTE_TOL,
                         deviation=dev,
                     )
                 )
                 out.append(
-                    _le_instance(f"m={m} t=1 small root below m-1", float(m - 1) - tol, lo, 0.0)
+                    _le_instance(f"m={m} t=1 small root below m-1", float(m - 1) - ROUTE_TOL, lo, tol=0.0)
                 )
             else:
                 bound = ((m - 1) * (t + 2) - math.sqrt((t * (m - 1)) ** 2 + 4.0)) / 2.0
                 out.append(
-                    _le_instance(f"m={m} t={t} q_min within submatrix bound", bound, float(qv[0]), tol)
+                    _le_instance(f"m={m} t={t} q_min within submatrix bound", bound, float(qv[0]))
                 )
                 out.append(
-                    _le_instance(f"m={m} t={t} submatrix bound below m-1", float(m - 1) - tol, bound, 0.0)
+                    _le_instance(f"m={m} t={t} submatrix bound below m-1", float(m - 1) - ROUTE_TOL, bound, tol=0.0)
                 )
-    return VerificationReport("thm-2.1-cases", tol, tuple(out))
+    return VerificationReport("thm-2.1-cases", ROUTE_TOL, tuple(out))
 
 
-def check_corollary_21(tol: float = 1e-8) -> VerificationReport:
+def check_corollary_21() -> VerificationReport:
     """Integrality of Lap(L(T(1,s,t)) x K_m) decided by the exact cubic
     root test, against numeric near-integrality of the assembled product.
 
@@ -365,10 +358,10 @@ def check_corollary_21(tol: float = 1e-8) -> VerificationReport:
             top = float(eigenvalues(laplacian(lg))[-1])
             closed_top = float(t1st_line_laplacian_spectrum(s, t).pairs[-1][0])
             out.append(
-                _eq_instance(f"s={s} t={t} top Laplacian eigenvalue of L(T(1,s,t))", closed_top, top, tol)
+                _eq_instance(f"s={s} t={t} top Laplacian eigenvalue of L(T(1,s,t))", closed_top, top)
             )
             printed = f"s={s} t={t} source text prints top value s+t-1"
-            out.append(_eq_instance(printed, float(s + t - 1), top, tol, informational=True))
+            out.append(_eq_instance(printed, float(s + t - 1), top, informational=True))
             for m in (2, 3):
                 cc = integrality_cubic(s, t, m)
                 exact = cc.integer_roots()
@@ -380,7 +373,7 @@ def check_corollary_21(tol: float = 1e-8) -> VerificationReport:
                     observed, passed = f"exact={'none' if exact is None else exact}, numeric={numeric}", True
                 desc = f"s={s} t={t} m={m} integrality (cubic {cc.a},{cc.b},{cc.c})"
                 out.append(CheckInstance(desc, "exact and numeric integrality verdicts agree", observed, passed))
-    return VerificationReport("cor-2.1", tol, tuple(out))
+    return VerificationReport("cor-2.1", ROUTE_TOL, tuple(out))
 
 
 # ---- clique-block graphs ----
@@ -401,7 +394,7 @@ def _triangle_chain(blocks: int = 3) -> Graph:
     return from_edge_list(2 * blocks + 1, edges)
 
 
-def check_theorem_23(tol: float = 1e-8) -> VerificationReport:
+def check_theorem_23() -> VerificationReport:
     """For connected restricted graphs with complete blocks and >= 3
     blocks: a(X x K_m) = m-1 iff min degree >= 2 and the block structure
     is a star.
@@ -433,7 +426,7 @@ def check_theorem_23(tol: float = 1e-8) -> VerificationReport:
             )
             for m in (2, 3):
                 a = algebraic_connectivity(kronecker(wm, complete_graph(m)))
-                out.append(_eq_instance(f"windmill:{eta},{mu} m={m} a(X x K_m)", float(m - 1), a, tol))
+                out.append(_eq_instance(f"windmill:{eta},{mu} m={m} a(X x K_m)", float(m - 1), a))
 
     # negatives
     hubbed = _windmill_plus_pendant(3, 3, at_hub=True)
@@ -446,14 +439,13 @@ def check_theorem_23(tol: float = 1e-8) -> VerificationReport:
         a = algebraic_connectivity(kronecker(hubbed, complete_graph(m)))
         sub = ((m - 1) * (x + 1) - math.sqrt(((m - 1) * (x - 1)) ** 2 + 4.0)) / 2.0
         out.append(
-            _lt_instance(f"windmill:3,3+hub pendant m={m} (delta=1, star structure)", float(m - 1), a, tol)
+            _lt_instance(f"windmill:3,3+hub pendant m={m} (delta=1, star structure)", float(m - 1), a)
         )
         out.append(
             _le_instance(
                 f"windmill:3,3+hub pendant m={m} q_min within pendant submatrix bound",
                 sub,
                 q_min(hubbed, m),
-                tol,
             )
         )
         for name, note, g in non_star:
@@ -464,19 +456,19 @@ def check_theorem_23(tol: float = 1e-8) -> VerificationReport:
                     descriptor=f"{name} m={m} ({note})",
                     expected=f"non-star blocks and a < {m - 1}",
                     observed=f"star={star}, a={_fmt(a)}",
-                    passed=(not star) and a < (m - 1) - tol,
+                    passed=(not star) and a < (m - 1) - ROUTE_TOL,
                 )
             )
         # below the >=3 blocks hypothesis, yet the value still lands on m-1
         a = algebraic_connectivity(kronecker(windmill_graph(2, 3), complete_graph(m)))
         desc = f"windmill:2,3 m={m} (only 2 blocks, outside hypothesis)"
-        out.append(_eq_instance(desc, float(m - 1), a, tol, informational=True))
-    return VerificationReport("thm-2.3", tol, tuple(out))
+        out.append(_eq_instance(desc, float(m - 1), a, informational=True))
+    return VerificationReport("thm-2.3", ROUTE_TOL, tuple(out))
 
 
 # ---- spectral surgery on twin pendant groups ----
 
-def check_theorem_das(base: Graph, group, added_edges, tol: float = 1e-8, label: str | None = None) -> VerificationReport:
+def check_theorem_das(base: Graph, group, added_edges, label: str | None = None) -> VerificationReport:
     """Adding edges among k vertices that share one common neighborhood of
     size p replaces k-1 eigenvalues equal to p with p + nu_i, where nu_i
     are the nonzero-slot eigenvalues of the added graph's Laplacian."""
@@ -484,6 +476,9 @@ def check_theorem_das(base: Graph, group, added_edges, tol: float = 1e-8, label:
     k = len(group)
     if k == 0:
         raise ValueError("empty group")
+    for v in group:
+        if not 0 <= v < base.n:
+            raise ValueError(f"group vertex {v} is not in 0..{base.n - 1}")
     gset = set(group)
     shared = None
     for v in group:
@@ -518,37 +513,35 @@ def check_theorem_das(base: Graph, group, added_edges, tol: float = 1e-8, label:
         descriptor=desc,
         expected=f"surgery spectrum (k={k}, p={p})",
         observed=f"max deviation {dev:.3g}",
-        passed=removal_dev <= tol and dev <= tol,
+        passed=removal_dev <= ROUTE_TOL and dev <= ROUTE_TOL,
         deviation=max(dev, removal_dev),
     )
-    return VerificationReport("thm-das", tol, (inst,))
+    return VerificationReport("thm-das", ROUTE_TOL, (inst,))
 
 
-def check_theorem_das_examples(tol: float = 1e-8) -> VerificationReport:
+def check_theorem_das_examples() -> VerificationReport:
     chair = from_edge_list(5, [(0, 1), (1, 2), (2, 3), (2, 4)])
     reports = [
         check_theorem_das(
             tkst_tree(2, 3, 2),
             group=(3, 4, 5),
             added_edges=[(3, 4), (3, 5), (4, 5)],
-            tol=tol,
             label="T(2,3,2), clique on the 3 pendants at one end",
         ),
-        check_theorem_das(chair, group=(3,), added_edges=[], tol=tol, label="chair, singleton group"),
+        check_theorem_das(chair, group=(3,), added_edges=[], label="chair, singleton group"),
         check_theorem_das(
             star_graph(5),
             group=(1, 2, 3, 4),
             added_edges=[(u, v) for u in range(1, 5) for v in range(u + 1, 5)],
-            tol=tol,
             label="K_{1,4} completed to K_5",
         ),
     ]
-    return VerificationReport("thm-das", tol, tuple(i for r in reports for i in r.instances))
+    return VerificationReport("thm-das", ROUTE_TOL, tuple(i for r in reports for i in r.instances))
 
 
 # ---- clique arrangement closed forms ----
 
-def check_theorem_31(tol: float = 1e-8) -> VerificationReport:
+def check_theorem_31() -> VerificationReport:
     out = []
     for eta in (2, 3, 4):
         for mu in (3, 4, 5):
@@ -556,12 +549,12 @@ def check_theorem_31(tol: float = 1e-8) -> VerificationReport:
                 closed = windmill_product_spectrum(eta, mu, m).values()
                 direct = product_laplacian_spectrum_direct(windmill_graph(eta, mu), m).values()
                 desc = f"windmill:{eta},{mu} m={m}"
-                out.append(_multiset_instance(f"{desc} closed vs direct product spectrum", closed, direct, tol))
-                out.append(_eq_instance(f"{desc} a(W x K_m)", float(m - 1), float(direct[1]), tol))
-    return VerificationReport("thm-3.1", tol, tuple(out))
+                out.append(_multiset_instance(f"{desc} closed vs direct product spectrum", closed, direct))
+                out.append(_eq_instance(f"{desc} a(W x K_m)", float(m - 1), float(direct[1])))
+    return VerificationReport("thm-3.1", ROUTE_TOL, tuple(out))
 
 
-def check_theorem_32(tol: float = 1e-8) -> VerificationReport:
+def check_theorem_32() -> VerificationReport:
     out = []
     for eta in (3, 4, 5):
         for mu in (3, 4, 5):
@@ -570,37 +563,30 @@ def check_theorem_32(tol: float = 1e-8) -> VerificationReport:
                 direct = product_laplacian_spectrum_direct(wprime_graph(eta, mu), m).values()
                 aconn = wprime_algebraic_connectivity(eta, mu, m)
                 desc = f"wprime:{eta},{mu} m={m}"
-                out.append(_multiset_instance(f"{desc} closed vs direct product spectrum", closed, direct, tol))
-                out.append(_eq_instance(f"{desc} a(W' x K_m)", aconn, float(direct[1]), tol))
-    return VerificationReport("thm-3.2", tol, tuple(out))
+                out.append(_multiset_instance(f"{desc} closed vs direct product spectrum", closed, direct))
+                out.append(_eq_instance(f"{desc} a(W' x K_m)", aconn, float(direct[1])))
+    return VerificationReport("thm-3.2", ROUTE_TOL, tuple(out))
 
 
-def check_theorem_33(tol: float = 1e-8) -> VerificationReport:
+def check_theorem_33() -> VerificationReport:
     out = []
     for k in range(2, 9):
         lg, _ = line_graph(book_graph(k))
         closed = book_line_laplacian_spectrum(k).values()
         vals = eigenvalues(laplacian(lg))
         out.append(
-            _multiset_instance(f"book:{k} Laplacian spectrum of L(B_k)", closed, vals, tol, expected="closed multiset")
+            _multiset_instance(f"book:{k} Laplacian spectrum of L(B_k)", closed, vals, expected="closed multiset")
         )
-        out.append(
-            _eq_instance(
-                f"book:{k} a(L(B_k))",
-                book_aconn_bound(k, 2),
-                float(vals[1]),
-                tol,
-            )
-        )
+        out.append(_eq_instance(f"book:{k} a(L(B_k))", book_aconn_bound(k, 2), float(vals[1])))
         for m in (2, 3):
             a = algebraic_connectivity(kronecker(lg, complete_graph(m)))
             out.append(
-                _le_instance(f"book:{k} m={m} a(L(B_k) x K_m) within bound", book_aconn_bound(k, m), a, tol)
+                _le_instance(f"book:{k} m={m} a(L(B_k) x K_m) within bound", book_aconn_bound(k, m), a)
             )
-    return VerificationReport("thm-3.3", tol, tuple(out))
+    return VerificationReport("thm-3.3", ROUTE_TOL, tuple(out))
 
 
-def check_corollary_31(tree: Graph, m: int, tol: float = 1e-8) -> VerificationReport:
+def check_corollary_31(tree: Graph, m: int) -> VerificationReport:
     """Bound a(L(tree) x K_m) by (m-1) times the small root of
     x^2 - (mu+1+eta) x + eta whenever two branches of a diameter-4 tree
     carry the same pendant load mu >= 2 at a degree-eta root, eta >= 3."""
@@ -617,26 +603,19 @@ def check_corollary_31(tree: Graph, m: int, tol: float = 1e-8) -> VerificationRe
     out = []
     for mu in mus:
         bound = wprime_algebraic_connectivity(eta, mu + 1, m)
-        out.append(
-            _le_instance(
-                f"diam4 eta={eta} xs={xs} m={m} mu={mu}: a within (m-1)-scaled root",
-                bound,
-                a,
-                tol,
-            )
-        )
+        out.append(_le_instance(f"diam4 eta={eta} xs={xs} m={m} mu={mu}: a within (m-1)-scaled root", bound, a))
         literal = wprime_algebraic_connectivity(eta, mu + 1, 2)  # unscaled small root
         inst = _le_instance(
-            f"diam4 eta={eta} xs={xs} m={m} mu={mu}: literal unscaled bound", literal, a, tol, informational=True
+            f"diam4 eta={eta} xs={xs} m={m} mu={mu}: literal unscaled bound", literal, a, informational=True
         )
         out.append(replace(inst, expected=inst.expected + " (as printed, no (m-1) factor)"))
-    return VerificationReport("cor-3.1", tol, tuple(out))
+    return VerificationReport("cor-3.1", ROUTE_TOL, tuple(out))
 
 
-def check_corollary_31_examples(tol: float = 1e-8) -> VerificationReport:
+def check_corollary_31_examples() -> VerificationReport:
     instances = []
     for xs in ((2, 2, 1), (2, 2, 2), (2, 2, 0)):
-        r = check_corollary_31(diam4_tree(3, xs), m=2, tol=tol)
+        r = check_corollary_31(diam4_tree(3, xs), m=2)
         instances.extend(r.instances)
     # the equal-load tree is the W' pre-image: the bound is attained
     tree = diam4_tree(3, (2, 2, 2))
@@ -645,10 +624,9 @@ def check_corollary_31_examples(tol: float = 1e-8) -> VerificationReport:
             "diam4 eta=3 xs=(2,2,2) m=2: bound attained at the W'(3,3) pre-image",
             wprime_algebraic_connectivity(3, 3, 2),
             a_beta_m(tree, 2),
-            tol,
         )
     )
-    return VerificationReport("cor-3.1", tol, tuple(instances))
+    return VerificationReport("cor-3.1", ROUTE_TOL, tuple(instances))
 
 
 # ---- the numeric table ----
@@ -696,47 +674,43 @@ def reproduce_table2() -> VerificationReport:
     for name, edges, a_printed, betas, skip in _TABLE2:
         tree = from_edge_list(1 + len(edges), edges)
         a = algebraic_connectivity(tree)
-        out.append(_eq_instance(f"{name} a(X)", float(a_printed), a, _TABLE2_TOL, informational="a" in skip))
+        out.append(_eq_instance(f"{name} a(X)", float(a_printed), a, informational="a" in skip, tol=_TABLE2_TOL))
         for m, printed in zip(range(2, 8), betas):
             val = a_beta_m(tree, m)
             out.append(
-                _eq_instance(f"{name} a(beta_{m})", float(printed), val, _TABLE2_TOL, informational=m in skip)
+                _eq_instance(f"{name} a(beta_{m})", float(printed), val, informational=m in skip, tol=_TABLE2_TOL)
             )
     return VerificationReport("table-2", _TABLE2_TOL, tuple(out))
 
 
 # ---- registry ----
 
-def _thm21_sweep(tol, max_n, m):
-    return [check_theorem_21(max_n, mm, tol) for mm in ((2, 3) if m is None else (m,))]
-
-
-# claim id -> runner(tol, max_n, m)
+# claim id -> check; table-2 compares at its print precision, the rest at ROUTE_TOL
 _CLAIMS = {
-    "thm-2.1": _thm21_sweep,
-    "thm-2.1-cases": lambda tol, max_n, m: [check_case_bounds_thm21(tol=tol)],
-    "cor-2.1": lambda tol, max_n, m: [check_corollary_21(tol=tol)],
-    "thm-2.3": lambda tol, max_n, m: [check_theorem_23(tol=tol)],
-    "thm-das": lambda tol, max_n, m: [check_theorem_das_examples(tol=tol)],
-    "thm-3.1": lambda tol, max_n, m: [check_theorem_31(tol=tol)],
-    "thm-3.2": lambda tol, max_n, m: [check_theorem_32(tol=tol)],
-    "thm-3.3": lambda tol, max_n, m: [check_theorem_33(tol=tol)],
-    "cor-3.1": lambda tol, max_n, m: [check_corollary_31_examples(tol=tol)],
-    # compared at the table's print precision, not at tol
-    "table-2": lambda tol, max_n, m: [reproduce_table2()],
+    "thm-2.1": check_theorem_21,
+    "thm-2.1-cases": check_case_bounds_thm21,
+    "cor-2.1": check_corollary_21,
+    "thm-2.3": check_theorem_23,
+    "thm-das": check_theorem_das_examples,
+    "thm-3.1": check_theorem_31,
+    "thm-3.2": check_theorem_32,
+    "thm-3.3": check_theorem_33,
+    "cor-3.1": check_corollary_31_examples,
+    "table-2": reproduce_table2,
 }
 
 ALL_CLAIMS = tuple(_CLAIMS)
 
 
-def run_claim(
-    claim_id: str, tol: float = 1e-8, max_n: int = 8, m: int | None = None
-) -> list[VerificationReport]:
+def run_claim(claim_id: str, max_n: int = 8, m: int | None = None) -> list[VerificationReport]:
     """Run the named claim over its fixed instance ranges.
 
-    max_n and m narrow the thm-2.1 tree sweep; other claims ignore them.
+    max_n and m narrow the thm-2.1 tree sweep (m=None runs m = 2 and 3);
+    other claims ignore them.
     """
-    runner = _CLAIMS.get(claim_id)
-    if runner is None:
+    check = _CLAIMS.get(claim_id)
+    if check is None:
         raise ValueError(f"unknown claim {claim_id!r}")
-    return runner(tol, max_n, m)
+    if claim_id == "thm-2.1":
+        return [check(max_n, mm) for mm in ((2, 3) if m is None else (m,))]
+    return [check()]

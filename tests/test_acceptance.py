@@ -191,7 +191,7 @@ def test_criterion_08_random_tree_decomposition_and_lifts():
 
 
 def test_criterion_09_common_neighborhood_surgery_examples():
-    rep = check_theorem_das_examples(1e-8)
+    rep = check_theorem_das_examples()
     assert rep.ok, rep.to_text()
     assert rep.passed == 3
     assert rep.worst_deviation <= 1e-8

@@ -8,6 +8,7 @@ from spectree import closedform
 from spectree.cli import main
 from spectree.families import tkst_tree
 from spectree.graphs import save_graph
+from spectree.spectra import ROUTE_TOL
 
 
 def _run(capsys, argv):
@@ -87,12 +88,15 @@ def test_bad_m_and_n_are_usage_errors(capsys):
         ["spectrum", "--family", "path:3", "--matrix", "q", "--m", "1"],
         ["beta", "--family", "tkst:1,2,2", "--m", "1"],
         ["enumerate", "--n", "0"],
+        ["verify", "thm-2.1", "--max-n", "2"],
+        ["verify", "all", "--max-n", "2"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv
     err = capsys.readouterr().err
     assert "--m must be >= 2" in err and "--n must be >= 1" in err
+    assert err.count("--max-n must be >= 3") == 2
 
 
 def test_graph_source_required(capsys, tmp_path):
@@ -270,14 +274,13 @@ def test_table2(capsys):
     assert out.startswith("claim table-2: PASS")
 
 
-def test_tol_flag(capsys, monkeypatch):
-    # the flag is the only way to set the tolerance; the environment is not read
+def test_tolerance_is_not_settable(capsys, monkeypatch):
+    # no flag sets the tolerance, and the environment is not read
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "thm-das", "--tol", "1e-6"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol 1e-6" in capsys.readouterr().err
     monkeypatch.setenv("SPECTREE_TOL", "1e-3")
-    code, out, _ = _run(capsys, ["verify", "thm-das", "--tol", "1e-6", "--format", "json"])
+    code, out, _ = _run(capsys, ["verify", "thm-das", "--format", "json"])
     assert code == 0
-    assert [r["tolerance"] for r in json.loads(out)] == [1e-6]
-    for bad in ("0", "-1", "nan", "inf", "-inf", "abc"):
-        with pytest.raises(SystemExit) as exc:
-            main(["verify", "thm-das", "--tol", bad])
-        assert exc.value.code == 2
-    assert "--tol must be finite and > 0" in capsys.readouterr().err
+    assert [r["tolerance"] for r in json.loads(out)] == [ROUTE_TOL]

@@ -361,3 +361,9 @@ def test_canonical_form_separates_nonisomorphic():
 def test_canonical_form_requires_tree():
     with pytest.raises(ValueError):
         tree_canonical_form(complete_graph(3))
+    # n - 1 edges but disconnected: a triangle beside an edge
+    with pytest.raises(ValueError, match="defined for trees"):
+        tree_canonical_form(from_edge_list(5, [(0, 1), (1, 2), (0, 2), (3, 4)]))
+    # disconnected with too few edges: two disjoint edges
+    with pytest.raises(ValueError, match="defined for trees"):
+        tree_canonical_form(from_edge_list(4, [(0, 1), (2, 3)]))

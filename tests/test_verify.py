@@ -12,11 +12,16 @@ from spectree.families import (
     tkst_tree,
 )
 from spectree.graphs import edge_list, from_edge_list
+from spectree.spectra import ROUTE_TOL
 from spectree.verify import (
     ALL_CLAIMS,
     CheckInstance,
     VerificationReport,
+    _eq_instance,
+    _le_instance,
+    _lt_instance,
     check_corollary_31,
+    check_theorem_21,
     check_theorem_das,
     check_theorem_das_examples,
     classify_diam4,
@@ -112,6 +117,11 @@ def test_check_theorem_das_validation():
     p4 = path_graph(4)
     with pytest.raises(ValueError):
         check_theorem_das(p4, (0, 2), [(0, 2)])  # neighborhoods {1} vs {1,3}
+    # out-of-range vertices are named, not wrapped round or left to IndexError
+    with pytest.raises(ValueError, match="group vertex -1 is not in 0..3"):
+        check_theorem_das(star_graph(4), (-1,), [])
+    with pytest.raises(ValueError, match="group vertex 7 is not in 0..3"):
+        check_theorem_das(star_graph(4), (7,), [])
 
 
 def test_check_theorem_das_examples():
@@ -135,6 +145,28 @@ def test_light_claims_pass():
 def test_all_claims_registry():
     assert len(ALL_CLAIMS) == len(set(ALL_CLAIMS)) == 10
     assert "table-2" in ALL_CLAIMS
+
+
+def test_every_check_compares_at_the_route_tolerance():
+    # = and <= allow ROUTE_TOL, no more
+    assert _eq_instance("eq", 1.0, 1.0 + ROUTE_TOL / 2).passed
+    assert not _eq_instance("eq", 1.0, 1.0 + 2 * ROUTE_TOL).passed
+    assert not _eq_instance("eq", 1.0, 1.0 - 2 * ROUTE_TOL).passed
+    assert _le_instance("le", 1.0, 1.0 + ROUTE_TOL / 2).passed
+    assert not _le_instance("le", 1.0, 1.0 + 2 * ROUTE_TOL).passed
+    # < needs a gap wider than ROUTE_TOL
+    assert not _lt_instance("lt", 1.0, 1.0 - ROUTE_TOL / 2).passed
+    assert _lt_instance("lt", 1.0, 1.0 - 2 * ROUTE_TOL).passed
+    for claim in ALL_CLAIMS:
+        for rep in run_claim(claim):
+            assert rep.tolerance == (0.01 if claim == "table-2" else ROUTE_TOL), claim
+
+
+def test_thm_21_needs_a_nonempty_sweep():
+    with pytest.raises(ValueError, match="max_n >= 3"):
+        check_theorem_21(2)
+    with pytest.raises(ValueError, match="max_n >= 3"):
+        run_claim("thm-2.1", max_n=2)
 
 
 # (passed, failed, informational) of every report run_claim returns
