@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, _neighbors, edge_list, from_edge_list, is_tree
+from .graphs import Graph, _bfs, edge_list, from_edge_list, is_tree
 
 __all__ = [
     "FamilyDescriptor",
@@ -330,12 +330,12 @@ def tree_canonical_form(tree: Graph) -> str:
     0, 1, .., h then form a diametral path and _spine_key applies, as in
     enumerate_free_trees. The first BFS also checks that the graph is a
     tree: connected, with n - 1 edges."""
-    nbrs = _neighbors(tree)
-    order = _bfs(nbrs, 0)[0]
+    nbrs = tree.neighbors
+    order = _bfs(tree, 0)[0]
     if len(order) != tree.n or tree.edge_count != tree.n - 1:
         raise ValueError("canonical form defined for trees")
     r = order[-1]
-    order, up = _bfs(nbrs, r)
+    order, up = _bfs(tree, r)
     height = [0] * tree.n
     for v in reversed(order[1:]):
         height[up[v]] = max(height[up[v]], height[v] + 1)
@@ -348,15 +348,3 @@ def tree_canonical_form(tree: Graph) -> str:
         parent.append(p)
     return _spine_key(parent, height[r])
 
-
-def _bfs(nbrs, s: int) -> tuple[list[int], list[int]]:
-    # the vertices reachable from s in visiting order (farthest last) and
-    # each one's parent, s its own; unreached vertices keep -1
-    order, up = [s], [-1] * len(nbrs)
-    up[s] = s
-    for v in order:
-        for w in nbrs[v]:
-            if up[w] < 0:
-                up[w] = v
-                order.append(w)
-    return order, up

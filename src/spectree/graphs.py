@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -23,7 +24,6 @@ __all__ = [
     "is_bipartite",
     "is_tree",
     "is_star",
-    "is_complete",
     "block_decomposition",
     "is_restricted",
     "blocks_all_complete",
@@ -41,7 +41,8 @@ class Graph:
 
     n >= 1; adj is a symmetric boolean (n, n) ndarray with a zero
     diagonal; labels, if given, has one entry per vertex. Construction
-    checks this and marks adj read-only.
+    checks this and marks adj read-only. Traversals read the neighbour
+    view, neighbors, built from adj on first use.
     """
 
     n: int
@@ -65,6 +66,11 @@ class Graph:
         if (adj != adj.T).any():
             raise ValueError("adj is not symmetric")
         adj.flags.writeable = False
+
+    @cached_property
+    def neighbors(self) -> tuple[tuple[int, ...], ...]:
+        """Each vertex's neighbours in increasing order, as tuples."""
+        return tuple(tuple(np.flatnonzero(row).tolist()) for row in self.adj)
 
     @property
     def edge_count(self) -> int:
@@ -111,37 +117,35 @@ def min_degree(g: Graph) -> int:
     return int(degrees(g).min())
 
 
-def _neighbors(g: Graph):
-    return [np.flatnonzero(g.adj[v]).tolist() for v in range(g.n)]
+def _bfs(g: Graph, s: int) -> tuple[list[int], list[int]]:
+    # the vertices reachable from s in visiting order (farthest last) and
+    # each one's parent, s its own; unreached vertices keep -1
+    nbrs = g.neighbors
+    order, up = [s], [-1] * g.n
+    up[s] = s
+    for v in order:
+        for w in nbrs[v]:
+            if up[w] < 0:
+                up[w] = v
+                order.append(w)
+    return order, up
 
 
 def is_connected(g: Graph) -> bool:
-    seen = np.zeros(g.n, dtype=bool)
-    seen[0] = True
-    frontier = [0]
-    while frontier:
-        nxt = g.adj[frontier].any(axis=0) & ~seen
-        frontier = np.flatnonzero(nxt).tolist()
-        seen |= nxt
-    return bool(seen.all())
+    return len(_bfs(g, 0)[0]) == g.n
 
 
 def is_bipartite(g: Graph) -> bool:
-    color = np.full(g.n, -1, dtype=np.int8)
+    """2-colour each component's BFS tree by depth parity, then check
+    that no edge joins two vertices of one colour."""
+    color = [-1] * g.n
     for s in range(g.n):
-        if color[s] >= 0:
-            continue
-        color[s] = 0
-        queue = [s]
-        while queue:
-            v = queue.pop()
-            for w in np.flatnonzero(g.adj[v]):
-                if color[w] < 0:
-                    color[w] = 1 - color[v]
-                    queue.append(int(w))
-                elif color[w] == color[v]:
-                    return False
-    return True
+        if color[s] < 0:
+            order, up = _bfs(g, s)
+            color[s] = 0
+            for v in order[1:]:
+                color[v] = 1 - color[up[v]]
+    return all(color[v] != color[w] for v, nb in enumerate(g.neighbors) for w in nb)
 
 
 def is_tree(g: Graph) -> bool:
@@ -151,10 +155,6 @@ def is_tree(g: Graph) -> bool:
 def is_star(g: Graph) -> bool:
     """K_{1,k} for some k >= 1 (so P_2 counts)."""
     return g.n >= 2 and is_tree(g) and int(degrees(g).max()) == g.n - 1
-
-
-def is_complete(g: Graph) -> bool:
-    return bool((g.adj | np.eye(g.n, dtype=bool)).all())
 
 
 @dataclass(frozen=True)
@@ -175,7 +175,7 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
     if n == 1:
         return BlockDecomposition(((0,),), ())
 
-    nbrs = _neighbors(g)
+    nbrs = g.neighbors
     disc = [-1] * n
     low = [0] * n
     counter = 0

@@ -42,6 +42,7 @@ from .families import (
 )
 from .graphs import (
     Graph,
+    _is_int,
     block_decomposition,
     block_structure_is_star,
     blocks_all_complete,
@@ -235,13 +236,14 @@ def classify_diam4(tree: Graph):
     if not is_tree(tree):
         raise ValueError("classification requires a tree")
     deg = degrees(tree)
+    nbrs = tree.neighbors
     for c in range(tree.n):
         if deg[c] < 2:
             continue
         xs = []
         ok = True
-        for b in np.flatnonzero(tree.adj[c]):
-            others = [int(w) for w in np.flatnonzero(tree.adj[b]) if int(w) != c]
+        for b in nbrs[c]:
+            others = [w for w in nbrs[b] if w != c]
             if any(deg[w] != 1 for w in others):
                 ok = False
                 break
@@ -472,17 +474,20 @@ def check_theorem_das(base: Graph, group, added_edges, label: str | None = None)
     """Adding edges among k vertices that share one common neighborhood of
     size p replaces k-1 eigenvalues equal to p with p + nu_i, where nu_i
     are the nonzero-slot eigenvalues of the added graph's Laplacian."""
+    group = tuple(group)
+    for v in group:
+        if not _is_int(v):
+            raise ValueError(f"group vertex {v!r} is not an integer")
+        if not 0 <= v < base.n:
+            raise ValueError(f"group vertex {v} is not in 0..{base.n - 1}")
     group = tuple(sorted({int(v) for v in group}))
     k = len(group)
     if k == 0:
         raise ValueError("empty group")
-    for v in group:
-        if not 0 <= v < base.n:
-            raise ValueError(f"group vertex {v} is not in 0..{base.n - 1}")
     gset = set(group)
     shared = None
     for v in group:
-        nb = set(np.flatnonzero(base.adj[v]).tolist())
+        nb = set(base.neighbors[v])
         if nb & gset:
             raise ValueError("group vertices must be pairwise non-adjacent")
         if shared is None:
@@ -490,7 +495,7 @@ def check_theorem_das(base: Graph, group, added_edges, label: str | None = None)
         elif nb != shared:
             raise ValueError("group vertices must share one neighborhood")
     p = len(shared)
-    added = [(int(u), int(v)) for u, v in added_edges]
+    added = edge_list(from_edge_list(base.n, added_edges))  # checked, each edge once
     if any(u not in gset or v not in gset for u, v in added):
         raise ValueError("added edges must stay inside the group")
 

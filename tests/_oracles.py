@@ -3,9 +3,10 @@
 Everything here deliberately avoids the package's own algorithms: trees
 come from Prufer sequences, line graphs from the textbook definition,
 blocks from a recursive lowpoint DFS, component counts from a
-union-find, tree centers from eccentricities, enumeration representatives
-from the largest level sequence over all roots, and eigenvalues from a
-cyclic Jacobi iteration rather than the LAPACK routine the package calls.
+union-find, bipartiteness from trying every 2-colouring, tree centers
+from eccentricities, enumeration representatives from the largest level
+sequence over all roots, and eigenvalues from a cyclic Jacobi iteration
+rather than the LAPACK routine the package calls.
 """
 
 from __future__ import annotations
@@ -143,6 +144,13 @@ def brute_cut_vertices(g: Graph) -> set[int]:
         if component_count(g.adj[np.ix_(keep, keep)]) > base:
             cuts.add(v)
     return cuts
+
+
+def is_bipartite_oracle(g: Graph) -> bool:
+    """Whether some 2-colouring leaves no edge inside one colour, trying
+    all 2^(n-1) colourings with vertex n-1 fixed (exponential: small n)."""
+    edges = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if g.adj[u, v]]
+    return any(all((mask >> u ^ mask >> v) & 1 for u, v in edges) for mask in range(2 ** (g.n - 1)))
 
 
 def recursive_blocks(g: Graph) -> set[frozenset]:

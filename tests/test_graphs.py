@@ -2,10 +2,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spectree.families import (
     complete_graph,
     enumerate_free_trees,
+    kronecker,
     line_graph,
     path_graph,
     star_graph,
@@ -23,7 +26,6 @@ from spectree.graphs import (
     graph_from_dict,
     graph_to_dict,
     is_bipartite,
-    is_complete,
     is_connected,
     is_restricted,
     is_star,
@@ -33,7 +35,7 @@ from spectree.graphs import (
     save_graph,
 )
 
-from _oracles import brute_cut_vertices, recursive_blocks
+from _oracles import brute_cut_vertices, component_count, is_bipartite_oracle, recursive_blocks
 
 
 def test_from_edge_list_basic():
@@ -140,9 +142,6 @@ def test_shape_predicates():
     assert is_star(path_graph(2))
     assert is_star(path_graph(3))  # K_{1,2}
     assert not is_star(path_graph(4))
-    assert is_complete(complete_graph(5))
-    assert is_complete(from_edge_list(1, []))
-    assert not is_complete(path_graph(3))
 
 
 # ---- block decomposition ----
@@ -168,7 +167,7 @@ def _sample_graphs():
         n = int(rng.integers(3, 9))
         adj = np.triu(rng.random((n, n)) < 0.4, 1)
         g = from_edge_list(n, [(int(u), int(v)) for u, v in zip(*np.nonzero(adj))])
-        if is_connected(g):
+        if component_count(g.adj) == 1:  # the oracle, so a broken is_connected cannot hang this
             out.append(g)
     return out
 
@@ -308,3 +307,62 @@ def test_graph_file_round_trip(tmp_path):
     h = load_graph(path)
     assert edge_list(h) == edge_list(g)
     assert h.labels is None
+
+
+# ---- property tests on general graphs ----
+
+@st.composite
+def _edge_graphs(draw, n, max_edges=None):
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=max_edges)) if pairs else []
+    return from_edge_list(n, edges)
+
+
+@st.composite
+def _general_graphs(draw):
+    """Graphs on at most 9 vertices, connected or not, built from an edge
+    list or straight from an adjacency matrix."""
+    kind = draw(st.sampled_from(("edges", "line", "kron", "complete")))
+    if kind == "complete":
+        return complete_graph(draw(st.integers(1, 9)))
+    if kind == "kron":
+        a = draw(st.integers(1, 3))
+        return kronecker(draw(_edge_graphs(a)), draw(_edge_graphs(draw(st.integers(1, 9 // a)))))
+    if kind == "line":
+        g = draw(_edge_graphs(draw(st.integers(2, 9)), max_edges=9))
+        if g.edge_count:
+            return line_graph(g)[0]  # else no line graph: fall through
+    return draw(_edge_graphs(draw(st.integers(1, 9))))
+
+
+_PROPERTY = settings(derandomize=True, deadline=None)
+
+
+@_PROPERTY
+@given(_general_graphs())
+def test_neighbor_view_matches_adjacency(g):
+    assert g.neighbors is g.neighbors  # built once
+    assert type(g.neighbors) is tuple and len(g.neighbors) == g.n
+    for v, nb in enumerate(g.neighbors):
+        assert type(nb) is tuple
+        assert nb == tuple(np.flatnonzero(g.adj[v]).tolist())
+
+
+@_PROPERTY
+@given(_general_graphs())
+def test_is_connected_matches_union_find(g):
+    assert is_connected(g) == (component_count(g.adj) == 1)
+
+
+@_PROPERTY
+@given(_general_graphs())
+def test_is_bipartite_matches_brute_force(g):
+    assert is_bipartite(g) == is_bipartite_oracle(g)
+
+
+@_PROPERTY
+@given(_general_graphs())
+def test_blocks_match_recursive_oracle_on_general_graphs(g):
+    # connected draws only; K_1 is one block here and none in the oracle
+    if g.n >= 2 and component_count(g.adj) == 1:
+        assert {frozenset(b) for b in block_decomposition(g).blocks} == recursive_blocks(g)

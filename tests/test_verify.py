@@ -114,6 +114,8 @@ def test_check_theorem_das_validation():
         check_theorem_das(base, (0, 1), [(0, 1)])  # 0 and 1 are adjacent
     with pytest.raises(ValueError):
         check_theorem_das(base, (1, 2), [(1, 3)])  # edge leaves the group
+    with pytest.raises(ValueError, match="loop at vertex 1"):
+        check_theorem_das(base, (1, 2), [(1, 1)])  # named by the vertex, not its index in the group
     p4 = path_graph(4)
     with pytest.raises(ValueError):
         check_theorem_das(p4, (0, 2), [(0, 2)])  # neighborhoods {1} vs {1,3}
@@ -122,6 +124,27 @@ def test_check_theorem_das_validation():
         check_theorem_das(star_graph(4), (-1,), [])
     with pytest.raises(ValueError, match="group vertex 7 is not in 0..3"):
         check_theorem_das(star_graph(4), (7,), [])
+
+
+@pytest.mark.parametrize(
+    "group, added, problem",
+    [
+        ((1.7, 2), [], "group vertex 1.7 is not an integer"),
+        ((True, 2), [], "group vertex True is not an integer"),
+        ((1, 2), [(1.7, 2)], "endpoints must be integers, got 1.7"),
+        ((1, 2), [(True, 2)], "endpoints must be integers, got True"),
+    ],
+    ids=("group-float", "group-bool", "edge-float", "edge-bool"),
+)
+def test_check_theorem_das_rejects_non_integer_vertices(group, added, problem):
+    # int() would pass 1.7 and True as vertex 1
+    with pytest.raises(ValueError, match=problem):
+        check_theorem_das(star_graph(5), group, added)
+
+
+def test_check_theorem_das_counts_distinct_added_edges():
+    rep = check_theorem_das(star_graph(5), (1, 2), [(1, 2), (2, 1)])
+    assert rep.ok and rep.instances[0].descriptor == "n=5 group=(1, 2) added=1 edges"
 
 
 def test_check_theorem_das_examples():
