@@ -1,154 +1,22 @@
 """Laplacian spectra of Kronecker products X x K_m, with the tree line
-graph case worked out in closed form."""
+graph case worked out in closed form.
 
-from .closedform import (
-    CubicCoeffs,
-    book_aconn_bound,
-    book_line_laplacian_spectrum,
-    integer_roots_of_monic_cubic,
-    integrality_cubic,
-    is_beta_laplacian_integral,
-    star_product_spectrum,
-    t1st_line_laplacian_spectrum,
-    t1st_q_spectrum_m2,
-    windmill_product_spectrum,
-    wprime_algebraic_connectivity,
-    wprime_product_spectrum,
-)
-from .eigen import (
-    GROUP_TOL,
-    INT_TOL,
-    Spectrum,
-    eigensystem,
-    eigenvalues,
-    group_spectrum,
-    second_smallest,
-    spectra_equal,
-    spectrum_from_json,
-    spectrum_is_integral,
-    spectrum_to_json,
-)
-from .families import (
-    FamilyDescriptor,
-    beta_m,
-    book_graph,
-    build,
-    cartesian,
-    complete_graph,
-    diam4_tree,
-    enumerate_free_trees,
-    kronecker,
-    line_graph,
-    parse_family,
-    path_graph,
-    star_graph,
-    tkst_tree,
-    tree_canonical_form,
-    windmill_graph,
-    wprime_graph,
-)
-from .graphs import (
-    Graph,
-    block_decomposition,
-    block_structure_is_star,
-    blocks_all_complete,
-    edge_list,
-    from_edge_list,
-    is_restricted,
-    load_graph,
-    save_graph,
-)
-from .spectra import (
-    a_beta_m,
-    algebraic_connectivity,
-    eigvec_lift_check,
-    laplacian,
-    product_connected,
-    product_spectrum,
-    q_matrix,
-    q_min,
-)
-from .verify import (
-    ALL_CLAIMS,
-    VerificationReport,
-    check_corollary_31,
-    check_theorem_21,
-    check_theorem_23,
-    check_theorem_das,
-    classify_diam4,
-    classify_t1st,
-    reproduce_table2,
-    run_claim,
-)
+The package namespace holds every public name of its six modules; each
+module's __all__ is the one list of them.
+"""
+
+from . import closedform, eigen, families, graphs, spectra, verify
+from .closedform import *  # noqa: F403
+from .eigen import *  # noqa: F403
+from .families import *  # noqa: F403
+from .graphs import *  # noqa: F403
+from .spectra import *  # noqa: F403
+from .verify import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Graph",
-    "from_edge_list",
-    "edge_list",
-    "load_graph",
-    "save_graph",
-    "block_decomposition",
-    "is_restricted",
-    "blocks_all_complete",
-    "block_structure_is_star",
-    "FamilyDescriptor",
-    "parse_family",
-    "build",
-    "path_graph",
-    "star_graph",
-    "complete_graph",
-    "tkst_tree",
-    "diam4_tree",
-    "windmill_graph",
-    "wprime_graph",
-    "book_graph",
-    "line_graph",
-    "kronecker",
-    "cartesian",
-    "beta_m",
-    "enumerate_free_trees",
-    "tree_canonical_form",
-    "GROUP_TOL",
-    "INT_TOL",
-    "Spectrum",
-    "eigenvalues",
-    "eigensystem",
-    "group_spectrum",
-    "second_smallest",
-    "spectra_equal",
-    "spectrum_is_integral",
-    "spectrum_to_json",
-    "spectrum_from_json",
-    "laplacian",
-    "q_matrix",
-    "q_min",
-    "product_spectrum",
-    "product_connected",
-    "algebraic_connectivity",
-    "a_beta_m",
-    "eigvec_lift_check",
-    "star_product_spectrum",
-    "t1st_q_spectrum_m2",
-    "t1st_line_laplacian_spectrum",
-    "CubicCoeffs",
-    "integrality_cubic",
-    "integer_roots_of_monic_cubic",
-    "is_beta_laplacian_integral",
-    "windmill_product_spectrum",
-    "wprime_product_spectrum",
-    "wprime_algebraic_connectivity",
-    "book_line_laplacian_spectrum",
-    "book_aconn_bound",
-    "ALL_CLAIMS",
-    "run_claim",
-    "VerificationReport",
-    "classify_t1st",
-    "classify_diam4",
-    "check_theorem_21",
-    "check_theorem_23",
-    "check_theorem_das",
-    "check_corollary_31",
-    "reproduce_table2",
+    name
+    for mod in (graphs, families, eigen, spectra, closedform, verify)
+    for name in mod.__all__
 ]

@@ -40,12 +40,12 @@ def _resolve_graph(parser: argparse.ArgumentParser, args) -> Graph:
     if args.family:
         try:
             g = build(parse_family(args.family))
-        except ValueError as exc:
+        except (ValueError, MemoryError) as exc:
             parser.error(str(exc))
     else:
         try:
             g = load_graph(args.file)
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, MemoryError) as exc:
             parser.error(f"cannot load {args.file}: {exc}")
     if getattr(args, "line", False):
         g, _ = line_graph(g)

@@ -13,7 +13,6 @@ in strictly increasing value order.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -25,7 +24,6 @@ __all__ = [
     "Spectrum",
     "eigenvalues",
     "eigensystem",
-    "min_eigenvalue",
     "second_smallest",
     "group_spectrum",
     "spectrum_from_pairs",
@@ -33,8 +31,6 @@ __all__ = [
     "spectrum_is_integral",
     "spectrum_to_dict",
     "spectrum_from_dict",
-    "spectrum_to_json",
-    "spectrum_from_json",
 ]
 
 GROUP_TOL = 1e-7  # tolerance for merging near-equal eigenvalues
@@ -61,10 +57,6 @@ def eigensystem(m):
     """(values, vectors): ascending eigenvalues and orthonormal columns."""
     vals, vecs = np.linalg.eigh(_checked(m))
     return vals, vecs
-
-
-def min_eigenvalue(m) -> float:
-    return float(eigenvalues(m)[0])
 
 
 @dataclass(frozen=True)
@@ -194,11 +186,3 @@ def spectrum_from_dict(d: dict) -> Spectrum:
 def _is_number(x) -> bool:
     return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
 
-
-def spectrum_to_json(s: Spectrum) -> str:
-    # floats serialize via repr: shortest form that round-trips exactly
-    return json.dumps(spectrum_to_dict(s))
-
-
-def spectrum_from_json(text: str) -> Spectrum:
-    return spectrum_from_dict(json.loads(text))

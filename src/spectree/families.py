@@ -16,7 +16,6 @@ from .graphs import Graph, _bfs, edge_list, from_edge_list, is_tree
 __all__ = [
     "FamilyDescriptor",
     "parse_family",
-    "format_family",
     "build",
     "path_graph",
     "star_graph",
@@ -65,13 +64,6 @@ def parse_family(text: str) -> FamilyDescriptor:
     return FamilyDescriptor(kind, params)
 
 
-def format_family(desc: FamilyDescriptor) -> str:
-    if desc.kind == "diam4":
-        k, xs = desc.params[0], desc.params[1:]
-        return f"diam4:{k};{','.join(str(x) for x in xs)}"
-    return f"{desc.kind}:{','.join(str(p) for p in desc.params)}"
-
-
 def build(desc: FamilyDescriptor) -> Graph:
     ctor, _ = _FAMILIES[desc.kind]
     return ctor(*desc.params)
@@ -93,7 +85,7 @@ def star_graph(n: int) -> Graph:
 def complete_graph(n: int) -> Graph:
     if n < 1:
         raise ValueError("complete needs n >= 1")
-    return Graph(n=n, adj=~np.eye(n, dtype=bool))
+    return Graph(~np.eye(n, dtype=bool))
 
 
 def tkst_tree(k: int, s: int, t: int) -> Graph:
@@ -187,21 +179,19 @@ def line_graph(g: Graph) -> tuple[Graph, tuple[tuple[int, int], ...]]:
     for i, (u, v) in enumerate(emap):
         inc[u, i] = inc[v, i] = 1
     shared = inc.T @ inc  # off-diagonal entry = number of shared endpoints
-    labels = tuple(f"{u}-{v}" for u, v in emap)
-    return Graph(n=m, adj=(shared == 1), labels=labels), emap
+    return Graph(shared == 1), emap
 
 
 def kronecker(g: Graph, h: Graph) -> Graph:
     """Tensor (categorical) product; vertex (u, x) is u * h.n + x."""
-    return Graph(n=g.n * h.n, adj=np.kron(g.adj, h.adj))
+    return Graph(np.kron(g.adj, h.adj))
 
 
 def cartesian(g: Graph, h: Graph) -> Graph:
     """Cartesian product; vertex (u, x) is u * h.n + x."""
     eg = np.eye(g.n, dtype=bool)
     eh = np.eye(h.n, dtype=bool)
-    adj = np.kron(g.adj, eh) | np.kron(eg, h.adj)
-    return Graph(n=g.n * h.n, adj=adj)
+    return Graph(np.kron(g.adj, eh) | np.kron(eg, h.adj))
 
 
 def beta_m(tree: Graph, m: int) -> Graph:

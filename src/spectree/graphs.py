@@ -1,8 +1,9 @@
 """Simple undirected graphs on vertices 0..n-1, with block (biconnected
 component) machinery used by the product-connectivity checks.
 
-Graphs are immutable: an adjacency matrix plus optional vertex labels.
-All constructors validate; everything downstream assumes a valid Graph.
+A Graph is its adjacency matrix, immutable; the vertex count is read from
+its shape. All constructors validate; everything downstream assumes a
+valid Graph.
 """
 
 from __future__ import annotations
@@ -39,33 +40,31 @@ __all__ = [
 class Graph:
     """Immutable simple undirected graph.
 
-    n >= 1; adj is a symmetric boolean (n, n) ndarray with a zero
-    diagonal; labels, if given, has one entry per vertex. Construction
-    checks this and marks adj read-only. Traversals read the neighbour
-    view, neighbors, built from adj on first use.
+    adj is a symmetric boolean (n, n) ndarray with n >= 1 and a zero
+    diagonal. Construction checks this and marks adj read-only.
+    Traversals read the neighbour view, neighbors, built from adj on
+    first use.
     """
 
-    n: int
     adj: np.ndarray
-    labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"graph needs at least one vertex, got n={self.n}")
-        if self.labels is not None and len(self.labels) != self.n:
-            raise ValueError(
-                f"labels must have one entry per vertex: got {len(self.labels)} for n={self.n}"
-            )
         adj = self.adj
         if not isinstance(adj, np.ndarray) or adj.dtype != np.bool_:
             raise ValueError("adj must be a numpy array of dtype bool")
-        if adj.shape != (self.n, self.n):
-            raise ValueError(f"adj has shape {adj.shape}, expected ({self.n}, {self.n})")
+        if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
+            raise ValueError(f"adj has shape {adj.shape}, expected a square matrix")
+        if adj.shape[0] < 1:
+            raise ValueError("graph needs at least one vertex, got n=0")
         if adj.diagonal().any():
             raise ValueError("adj has a nonzero diagonal (a loop)")
         if (adj != adj.T).any():
             raise ValueError("adj is not symmetric")
         adj.flags.writeable = False
+
+    @property
+    def n(self) -> int:
+        return self.adj.shape[0]
 
     @cached_property
     def neighbors(self) -> tuple[tuple[int, ...], ...]:
@@ -80,13 +79,17 @@ class Graph:
         return f"Graph(n={self.n}, edges={self.edge_count})"
 
 
-def from_edge_list(n: int, edges, labels=None) -> Graph:
-    """Build a Graph from an iterable of (u, v) pairs.
+def from_edge_list(n: int, edges) -> Graph:
+    """Build a Graph on n vertices from an iterable of (u, v) pairs.
 
-    Endpoints must be ints or numpy integers, not bools. Duplicate edges
-    (either orientation) collapse; loops are rejected.
+    n and the endpoints must be ints or numpy integers, not bools.
+    Duplicate edges (either orientation) collapse; loops are rejected.
     """
-    adj = np.zeros((max(n, 0), max(n, 0)), dtype=bool)  # Graph rejects n < 1
+    if not _is_int(n):
+        raise ValueError(f"n must be an integer, got {n!r}")
+    if n < 1:
+        raise ValueError(f"graph needs at least one vertex, got n={n}")
+    adj = np.zeros((n, n), dtype=bool)
     for u, v in edges:
         # plain ints pass on the cheap type test, others need _is_int
         if not (type(u) is int or _is_int(u)) or not (type(v) is int or _is_int(v)):
@@ -98,9 +101,7 @@ def from_edge_list(n: int, edges, labels=None) -> Graph:
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
         adj[u, v] = adj[v, u] = True
-    if labels is not None:
-        labels = tuple(str(x) for x in labels)
-    return Graph(n=n, adj=adj, labels=labels)
+    return Graph(adj)
 
 
 def edge_list(g: Graph) -> list[tuple[int, int]]:
@@ -253,22 +254,19 @@ def block_structure_is_star(g: Graph) -> bool:
 # ---- JSON ----
 
 def graph_to_dict(g: Graph) -> dict:
-    d = {"n": g.n, "edges": [[u, v] for u, v in edge_list(g)]}
-    if g.labels is not None:
-        d["labels"] = list(g.labels)
-    return d
+    return {"n": g.n, "edges": [[u, v] for u, v in edge_list(g)]}
 
 
 def graph_from_dict(d: dict) -> Graph:
     """Inverse of graph_to_dict. Raises ValueError naming the problem for
-    anything but an object with an int "n", "edges" a list of two-int
-    pairs and, optionally, "labels" a list of strings."""
+    anything but an object with an int "n" and "edges" a list of two-int
+    pairs; other keys are ignored."""
     if not isinstance(d, dict):
         raise ValueError(f"graph must be a JSON object, got {type(d).__name__}")
     for key in ("n", "edges"):
         if key not in d:
             raise ValueError(f"graph has no {key!r}")
-    n, edges, labels = d["n"], d["edges"], d.get("labels")
+    n, edges = d["n"], d["edges"]
     if not _is_int(n):
         raise ValueError(f"graph 'n' must be an integer, got {n!r}")
     if not isinstance(edges, list):
@@ -276,11 +274,7 @@ def graph_from_dict(d: dict) -> Graph:
     for e in edges:
         if not (isinstance(e, (list, tuple)) and len(e) == 2 and all(map(_is_int, e))):
             raise ValueError(f"each edge must be a pair of integers, got {e!r}")
-    if labels is not None and not (
-        isinstance(labels, list) and all(isinstance(x, str) for x in labels)
-    ):
-        raise ValueError(f"graph 'labels' must be a list of strings, got {labels!r}")
-    return from_edge_list(n, edges, labels=labels)
+    return from_edge_list(n, edges)
 
 
 def _is_int(x) -> bool:

@@ -15,14 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigen import (
-    Spectrum,
-    eigensystem,
-    eigenvalues,
-    group_spectrum,
-    min_eigenvalue,
-    spectra_equal,
-)
+from .eigen import Spectrum, eigensystem, eigenvalues, group_spectrum, spectra_equal
 from .families import complete_graph, kronecker, line_graph
 from .graphs import Graph, degrees, is_bipartite, is_connected, is_tree
 
@@ -105,7 +98,7 @@ def algebraic_connectivity(g: Graph) -> float:
 def q_min(g: Graph, m: int) -> float:
     """Smallest eigenvalue of Q_{m-1}(g); zero iff g has a bipartite
     component (for m=2), nonnegative always."""
-    return min_eigenvalue(q_matrix(g, m))
+    return float(eigenvalues(q_matrix(g, m))[0])
 
 
 def product_connected(g: Graph, m: int) -> bool:

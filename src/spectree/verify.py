@@ -10,7 +10,6 @@ source material without affecting the report verdict.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, field, replace
 
@@ -136,9 +135,6 @@ class VerificationReport:
             "instances": [asdict(i) for i in self.instances],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
     def to_text(self) -> str:
         verdict = "PASS" if self.ok else "FAIL"
         lines = [
@@ -159,38 +155,18 @@ def _fmt(x: float) -> str:
     return f"{x:.10g}"
 
 
-def _eq_instance(desc, expected, observed, informational=False, tol=ROUTE_TOL) -> CheckInstance:
-    dev = abs(observed - expected)
+def _instance(desc, op, bound, observed, informational=False, tol=ROUTE_TOL) -> CheckInstance:
+    """observed against bound under op: "=" and "<=" pass when the
+    deviation (|observed - bound|, or the excess over bound) is within tol;
+    "<" needs observed below bound by more than tol."""
+    dev = abs(observed - bound) if op == "=" else max(0.0, observed - bound)
     return CheckInstance(
         descriptor=desc,
-        expected=f"= {_fmt(expected)}",
+        expected=f"{op} {_fmt(bound)}",
         observed=_fmt(observed),
-        passed=dev <= tol,
+        passed=observed < bound - tol if op == "<" else dev <= tol,
         informational=informational,
         deviation=dev,
-    )
-
-
-def _le_instance(desc, bound, observed, informational=False, tol=ROUTE_TOL) -> CheckInstance:
-    over = max(0.0, observed - bound)
-    return CheckInstance(
-        descriptor=desc,
-        expected=f"<= {_fmt(bound)}",
-        observed=_fmt(observed),
-        passed=over <= tol,
-        informational=informational,
-        deviation=over,
-    )
-
-
-def _lt_instance(desc, bound, observed) -> CheckInstance:
-    """observed must sit strictly below bound, by more than ROUTE_TOL."""
-    return CheckInstance(
-        descriptor=desc,
-        expected=f"< {_fmt(bound)}",
-        observed=_fmt(observed),
-        passed=observed < bound - ROUTE_TOL,
-        deviation=max(0.0, observed - bound),
     )
 
 
@@ -290,13 +266,13 @@ def check_theorem_21(max_n: int = 8, m: int = 2) -> VerificationReport:
             elif is_star(tree):
                 ex = second_smallest(star_product_spectrum(n, m))
                 note = " (= m-1 here)" if ex == m - 1 else ""
-                inst = _eq_instance(desc + f" [star{note}]", ex, a)
+                inst = _instance(desc + f" [star{note}]", "=", ex, a)
                 inst = replace(inst, expected=inst.expected + " (clique product)", passed=inst.passed and connected)
             elif cls is not None and cls[1] >= 2:
                 s, t = cls
-                inst = _eq_instance(desc + f" [T(1,{s},{t})]", float(m - 1), a)
+                inst = _instance(desc + f" [T(1,{s},{t})]", "=", float(m - 1), a)
             else:
-                inst = _lt_instance(desc, float(m - 1), a)
+                inst = _instance(desc, "<", float(m - 1), a)
                 inst = replace(inst, passed=inst.passed and connected)
             out.append(inst)
     return VerificationReport("thm-2.1", ROUTE_TOL, tuple(out))
@@ -332,15 +308,15 @@ def check_case_bounds_thm21() -> VerificationReport:
                     )
                 )
                 out.append(
-                    _le_instance(f"m={m} t=1 small root below m-1", float(m - 1) - ROUTE_TOL, lo, tol=0.0)
+                    _instance(f"m={m} t=1 small root below m-1", "<=", float(m - 1) - ROUTE_TOL, lo, tol=0.0)
                 )
             else:
                 bound = ((m - 1) * (t + 2) - math.sqrt((t * (m - 1)) ** 2 + 4.0)) / 2.0
                 out.append(
-                    _le_instance(f"m={m} t={t} q_min within submatrix bound", bound, float(qv[0]))
+                    _instance(f"m={m} t={t} q_min within submatrix bound", "<=", bound, float(qv[0]))
                 )
                 out.append(
-                    _le_instance(f"m={m} t={t} submatrix bound below m-1", float(m - 1) - ROUTE_TOL, bound, tol=0.0)
+                    _instance(f"m={m} t={t} submatrix bound below m-1", "<=", float(m - 1) - ROUTE_TOL, bound, tol=0.0)
                 )
     return VerificationReport("thm-2.1-cases", ROUTE_TOL, tuple(out))
 
@@ -360,10 +336,10 @@ def check_corollary_21() -> VerificationReport:
             top = float(eigenvalues(laplacian(lg))[-1])
             closed_top = float(t1st_line_laplacian_spectrum(s, t).pairs[-1][0])
             out.append(
-                _eq_instance(f"s={s} t={t} top Laplacian eigenvalue of L(T(1,s,t))", closed_top, top)
+                _instance(f"s={s} t={t} top Laplacian eigenvalue of L(T(1,s,t))", "=", closed_top, top)
             )
             printed = f"s={s} t={t} source text prints top value s+t-1"
-            out.append(_eq_instance(printed, float(s + t - 1), top, informational=True))
+            out.append(_instance(printed, "=", float(s + t - 1), top, informational=True))
             for m in (2, 3):
                 cc = integrality_cubic(s, t, m)
                 exact = cc.integer_roots()
@@ -428,7 +404,7 @@ def check_theorem_23() -> VerificationReport:
             )
             for m in (2, 3):
                 a = algebraic_connectivity(kronecker(wm, complete_graph(m)))
-                out.append(_eq_instance(f"windmill:{eta},{mu} m={m} a(X x K_m)", float(m - 1), a))
+                out.append(_instance(f"windmill:{eta},{mu} m={m} a(X x K_m)", "=", float(m - 1), a))
 
     # negatives
     hubbed = _windmill_plus_pendant(3, 3, at_hub=True)
@@ -441,11 +417,12 @@ def check_theorem_23() -> VerificationReport:
         a = algebraic_connectivity(kronecker(hubbed, complete_graph(m)))
         sub = ((m - 1) * (x + 1) - math.sqrt(((m - 1) * (x - 1)) ** 2 + 4.0)) / 2.0
         out.append(
-            _lt_instance(f"windmill:3,3+hub pendant m={m} (delta=1, star structure)", float(m - 1), a)
+            _instance(f"windmill:3,3+hub pendant m={m} (delta=1, star structure)", "<", float(m - 1), a)
         )
         out.append(
-            _le_instance(
+            _instance(
                 f"windmill:3,3+hub pendant m={m} q_min within pendant submatrix bound",
+                "<=",
                 sub,
                 q_min(hubbed, m),
             )
@@ -464,7 +441,7 @@ def check_theorem_23() -> VerificationReport:
         # below the >=3 blocks hypothesis, yet the value still lands on m-1
         a = algebraic_connectivity(kronecker(windmill_graph(2, 3), complete_graph(m)))
         desc = f"windmill:2,3 m={m} (only 2 blocks, outside hypothesis)"
-        out.append(_eq_instance(desc, float(m - 1), a, informational=True))
+        out.append(_instance(desc, "=", float(m - 1), a, informational=True))
     return VerificationReport("thm-2.3", ROUTE_TOL, tuple(out))
 
 
@@ -555,7 +532,7 @@ def check_theorem_31() -> VerificationReport:
                 direct = product_laplacian_spectrum_direct(windmill_graph(eta, mu), m).values()
                 desc = f"windmill:{eta},{mu} m={m}"
                 out.append(_multiset_instance(f"{desc} closed vs direct product spectrum", closed, direct))
-                out.append(_eq_instance(f"{desc} a(W x K_m)", float(m - 1), float(direct[1])))
+                out.append(_instance(f"{desc} a(W x K_m)", "=", float(m - 1), float(direct[1])))
     return VerificationReport("thm-3.1", ROUTE_TOL, tuple(out))
 
 
@@ -569,7 +546,7 @@ def check_theorem_32() -> VerificationReport:
                 aconn = wprime_algebraic_connectivity(eta, mu, m)
                 desc = f"wprime:{eta},{mu} m={m}"
                 out.append(_multiset_instance(f"{desc} closed vs direct product spectrum", closed, direct))
-                out.append(_eq_instance(f"{desc} a(W' x K_m)", aconn, float(direct[1])))
+                out.append(_instance(f"{desc} a(W' x K_m)", "=", aconn, float(direct[1])))
     return VerificationReport("thm-3.2", ROUTE_TOL, tuple(out))
 
 
@@ -582,11 +559,11 @@ def check_theorem_33() -> VerificationReport:
         out.append(
             _multiset_instance(f"book:{k} Laplacian spectrum of L(B_k)", closed, vals, expected="closed multiset")
         )
-        out.append(_eq_instance(f"book:{k} a(L(B_k))", book_aconn_bound(k, 2), float(vals[1])))
+        out.append(_instance(f"book:{k} a(L(B_k))", "=", book_aconn_bound(k, 2), float(vals[1])))
         for m in (2, 3):
             a = algebraic_connectivity(kronecker(lg, complete_graph(m)))
             out.append(
-                _le_instance(f"book:{k} m={m} a(L(B_k) x K_m) within bound", book_aconn_bound(k, m), a)
+                _instance(f"book:{k} m={m} a(L(B_k) x K_m) within bound", "<=", book_aconn_bound(k, m), a)
             )
     return VerificationReport("thm-3.3", ROUTE_TOL, tuple(out))
 
@@ -608,10 +585,10 @@ def check_corollary_31(tree: Graph, m: int) -> VerificationReport:
     out = []
     for mu in mus:
         bound = wprime_algebraic_connectivity(eta, mu + 1, m)
-        out.append(_le_instance(f"diam4 eta={eta} xs={xs} m={m} mu={mu}: a within (m-1)-scaled root", bound, a))
+        out.append(_instance(f"diam4 eta={eta} xs={xs} m={m} mu={mu}: a within (m-1)-scaled root", "<=", bound, a))
         literal = wprime_algebraic_connectivity(eta, mu + 1, 2)  # unscaled small root
-        inst = _le_instance(
-            f"diam4 eta={eta} xs={xs} m={m} mu={mu}: literal unscaled bound", literal, a, informational=True
+        inst = _instance(
+            f"diam4 eta={eta} xs={xs} m={m} mu={mu}: literal unscaled bound", "<=", literal, a, informational=True
         )
         out.append(replace(inst, expected=inst.expected + " (as printed, no (m-1) factor)"))
     return VerificationReport("cor-3.1", ROUTE_TOL, tuple(out))
@@ -625,8 +602,9 @@ def check_corollary_31_examples() -> VerificationReport:
     # the equal-load tree is the W' pre-image: the bound is attained
     tree = diam4_tree(3, (2, 2, 2))
     instances.append(
-        _eq_instance(
+        _instance(
             "diam4 eta=3 xs=(2,2,2) m=2: bound attained at the W'(3,3) pre-image",
+            "=",
             wprime_algebraic_connectivity(3, 3, 2),
             a_beta_m(tree, 2),
         )
@@ -679,11 +657,11 @@ def reproduce_table2() -> VerificationReport:
     for name, edges, a_printed, betas, skip in _TABLE2:
         tree = from_edge_list(1 + len(edges), edges)
         a = algebraic_connectivity(tree)
-        out.append(_eq_instance(f"{name} a(X)", float(a_printed), a, informational="a" in skip, tol=_TABLE2_TOL))
+        out.append(_instance(f"{name} a(X)", "=", float(a_printed), a, informational="a" in skip, tol=_TABLE2_TOL))
         for m, printed in zip(range(2, 8), betas):
             val = a_beta_m(tree, m)
             out.append(
-                _eq_instance(f"{name} a(beta_{m})", float(printed), val, informational=m in skip, tol=_TABLE2_TOL)
+                _instance(f"{name} a(beta_{m})", "=", float(printed), val, informational=m in skip, tol=_TABLE2_TOL)
             )
     return VerificationReport("table-2", _TABLE2_TOL, tuple(out))
 

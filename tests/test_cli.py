@@ -141,6 +141,21 @@ def test_bad_family(capsys):
     assert exc.value.code == 2
 
 
+def test_unallocatable_graph_is_usage_error(capsys, tmp_path):
+    # numpy refuses a 10^9 x 10^9 adjacency matrix at once, allocating nothing
+    path = tmp_path / "g.json"
+    path.write_text('{"n": 1000000000, "edges": []}')
+    for argv, prefix in (
+        (["aconn", "--file", str(path)], f"cannot load {path}: "),
+        (["aconn", "--family", "complete:1000000000"], "error: "),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"{prefix}Unable to allocate" in err and "Traceback" not in err
+
+
 def test_enumerate_text(capsys):
     code, out, _ = _run(capsys, ["enumerate", "--n", "5"])
     assert code == 0

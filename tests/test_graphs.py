@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import json
 
 import numpy as np
@@ -61,6 +63,12 @@ def test_from_edge_list_rejects_bad_edges():
         from_edge_list(3, [(-1, 1)])
 
 
+@pytest.mark.parametrize("n, bad", [(2.0, "2.0"), (True, "True"), ("3", "'3'"), (None, "None")])
+def test_from_edge_list_rejects_non_integer_n(n, bad):
+    with pytest.raises(ValueError, match=f"n must be an integer, got {bad}"):
+        from_edge_list(n, [])
+
+
 @pytest.mark.parametrize("edge, bad", [((0, 1.7), "1.7"), ((True, 2), "True"), (("0", 1), "'0'")])
 def test_from_edge_list_rejects_non_integer_endpoints(edge, bad):
     with pytest.raises(ValueError, match=f"endpoints must be integers, got {bad}"):
@@ -84,29 +92,42 @@ def test_graph_rejects_invalid_adjacency():
     loop = np.zeros((2, 2), dtype=bool)
     loop[1, 1] = True
     cases = (
-        (3, np.ones((2, 2), dtype=bool), "shape"),
-        (3, one_way, "not symmetric"),
-        (2, loop, "diagonal"),
-        (2, np.zeros((2, 2)), "dtype bool"),
-        (2, [[False, True], [True, False]], "dtype bool"),
+        (np.ones((2, 3), dtype=bool), r"shape \(2, 3\), expected a square"),
+        (np.zeros(3, dtype=bool), r"shape \(3,\), expected a square"),
+        (np.zeros((2, 2, 2), dtype=bool), r"shape \(2, 2, 2\), expected a square"),
+        (one_way, "not symmetric"),
+        (loop, "diagonal"),
+        (np.zeros((2, 2)), "dtype bool"),
+        ([[False, True], [True, False]], "dtype bool"),
     )
-    for n, adj, msg in cases:
+    for adj, msg in cases:
         with pytest.raises(ValueError, match=msg):
-            Graph(n=n, adj=adj)
-    assert Graph(n=2, adj=np.array([[False, True], [True, False]])).edge_count == 1
+            Graph(adj)
+    assert Graph(np.array([[False, True], [True, False]])).edge_count == 1
+
+
+def test_graph_is_its_adjacency_matrix():
+    assert [f.name for f in dataclasses.fields(Graph)] == ["adj"]
+    g = Graph(np.zeros((3, 3), dtype=bool))
+    assert g.n == 3 and type(g.n) is int
+    with pytest.raises(AttributeError):
+        g.n = 4
+    # the vertex count is not a second argument: n=2.0 or n=True cannot slip in
+    with pytest.raises(TypeError):
+        Graph(n=2.0, adj=np.zeros((2, 2), dtype=bool))
 
 
 def test_graph_rejects_bad_vertex_count_and_labels():
     with pytest.raises(ValueError, match="at least one vertex, got n=0"):
-        Graph(n=0, adj=np.zeros((0, 0), dtype=bool))
-    with pytest.raises(ValueError, match="one entry per vertex: got 1 for n=2"):
-        Graph(n=2, adj=np.zeros((2, 2), dtype=bool), labels=("a",))
+        Graph(np.zeros((0, 0), dtype=bool))
     for n in (0, -1):
-        with pytest.raises(ValueError, match="at least one vertex"):
+        with pytest.raises(ValueError, match=f"at least one vertex, got n={n}"):
             from_edge_list(n, [])
-    with pytest.raises(ValueError, match="one entry per vertex: got 3 for n=2"):
-        from_edge_list(2, [(0, 1)], labels=["a", "b", "c"])
-    assert Graph(n=2, adj=np.zeros((2, 2), dtype=bool), labels=("a", "b")).labels == ("a", "b")
+    # vertices carry no labels: a line graph's edge_map says which edge is which
+    with pytest.raises(TypeError):
+        Graph(np.zeros((2, 2), dtype=bool), labels=("a", "b"))
+    with pytest.raises(TypeError):
+        from_edge_list(2, [(0, 1)], labels=["a", "b"])
 
 
 def test_degrees_and_min_degree():
@@ -266,14 +287,15 @@ def test_blocks_all_complete_negative():
 # ---- serialization ----
 
 def test_graph_dict_round_trip():
-    g = from_edge_list(4, [(0, 1), (1, 2), (2, 3)], labels=("a", "b", "c", "d"))
+    g = from_edge_list(4, [(0, 1), (1, 2), (2, 3)])
     d = graph_to_dict(g)
-    assert d["n"] == 4
-    assert d["labels"] == ["a", "b", "c", "d"]
+    assert d == {"n": 4, "edges": [[0, 1], [1, 2], [2, 3]]}
     h = graph_from_dict(json.loads(json.dumps(d)))
     assert h.n == g.n
     assert edge_list(h) == edge_list(g)
-    assert h.labels == g.labels
+    # files written with vertex labels still load; the key is ignored
+    h = graph_from_dict({**d, "labels": ["a", "b", "c", "d"]})
+    assert edge_list(h) == edge_list(g)
 
 
 @pytest.mark.parametrize(
@@ -291,8 +313,6 @@ def test_graph_dict_round_trip():
         ({"n": 3, "edges": [[0, 1.0]]}, "pair of integers"),
         ({"n": 3, "edges": [[0, True]]}, "pair of integers"),
         ({"n": 3, "edges": [5]}, "pair of integers"),
-        ({"n": 2, "edges": [[0, 1]], "labels": "ab"}, "'labels' must be a list of strings"),
-        ({"n": 2, "edges": [[0, 1]], "labels": [0, 1]}, "'labels' must be a list of strings"),
     ],
 )
 def test_graph_from_dict_rejects_malformed(doc, problem):
@@ -306,7 +326,7 @@ def test_graph_file_round_trip(tmp_path):
     save_graph(g, path)
     h = load_graph(path)
     assert edge_list(h) == edge_list(g)
-    assert h.labels is None
+    assert json.loads(path.read_text()) == graph_to_dict(g)
 
 
 # ---- property tests on general graphs ----
@@ -366,3 +386,31 @@ def test_blocks_match_recursive_oracle_on_general_graphs(g):
     # connected draws only; K_1 is one block here and none in the oracle
     if g.n >= 2 and component_count(g.adj) == 1:
         assert {frozenset(b) for b in block_decomposition(g).blocks} == recursive_blocks(g)
+
+
+@_PROPERTY
+@given(_general_graphs())
+def test_vertex_count_is_the_adjacency_order(g):
+    assert g.n == g.adj.shape[0]
+
+
+@_PROPERTY
+@given(_general_graphs())
+def test_edge_list_and_dict_round_trips_keep_the_edges(g):
+    edges = edge_list(g)
+    assert edge_list(from_edge_list(g.n, edges)) == edges
+    h = graph_from_dict(graph_to_dict(g))
+    assert h.n == g.n and edge_list(h) == edges
+
+
+@_PROPERTY
+@given(_general_graphs())
+def test_line_graph_vertex_i_is_edge_i(g):
+    # emap is the one record of which edge became which vertex
+    if g.edge_count == 0:
+        return
+    lg, emap = line_graph(g)
+    assert emap == tuple(edge_list(g))
+    assert lg.n == len(emap)
+    for i, j in itertools.permutations(range(lg.n), 2):
+        assert lg.adj[i, j] == (len(set(emap[i]) & set(emap[j])) == 1)

@@ -17,9 +17,7 @@ from spectree.verify import (
     ALL_CLAIMS,
     CheckInstance,
     VerificationReport,
-    _eq_instance,
-    _le_instance,
-    _lt_instance,
+    _instance,
     check_corollary_31,
     check_theorem_21,
     check_theorem_das,
@@ -90,7 +88,7 @@ def test_report_serialization():
     r = _report()
     d = r.to_dict()
     assert d["claim"] == "demo" and d["failed"] == 1 and len(d["instances"]) == 3
-    assert json.loads(r.to_json()) == d
+    assert json.loads(json.dumps(d)) == d  # as the CLI writes it
     text = r.to_text()
     assert text.splitlines()[0].startswith("claim demo: FAIL")
     assert "[FAIL] i2" in text and "[info] i3" in text and "[ok ] i1" in text
@@ -172,17 +170,36 @@ def test_all_claims_registry():
 
 def test_every_check_compares_at_the_route_tolerance():
     # = and <= allow ROUTE_TOL, no more
-    assert _eq_instance("eq", 1.0, 1.0 + ROUTE_TOL / 2).passed
-    assert not _eq_instance("eq", 1.0, 1.0 + 2 * ROUTE_TOL).passed
-    assert not _eq_instance("eq", 1.0, 1.0 - 2 * ROUTE_TOL).passed
-    assert _le_instance("le", 1.0, 1.0 + ROUTE_TOL / 2).passed
-    assert not _le_instance("le", 1.0, 1.0 + 2 * ROUTE_TOL).passed
+    assert _instance("eq", "=", 1.0, 1.0 + ROUTE_TOL / 2).passed
+    assert not _instance("eq", "=", 1.0, 1.0 + 2 * ROUTE_TOL).passed
+    assert not _instance("eq", "=", 1.0, 1.0 - 2 * ROUTE_TOL).passed
+    assert _instance("le", "<=", 1.0, 1.0 + ROUTE_TOL / 2).passed
+    assert not _instance("le", "<=", 1.0, 1.0 + 2 * ROUTE_TOL).passed
+    assert _instance("le", "<=", 1.0, 0.0).passed
     # < needs a gap wider than ROUTE_TOL
-    assert not _lt_instance("lt", 1.0, 1.0 - ROUTE_TOL / 2).passed
-    assert _lt_instance("lt", 1.0, 1.0 - 2 * ROUTE_TOL).passed
+    assert not _instance("lt", "<", 1.0, 1.0 - ROUTE_TOL / 2).passed
+    assert _instance("lt", "<", 1.0, 1.0 - 2 * ROUTE_TOL).passed
     for claim in ALL_CLAIMS:
         for rep in run_claim(claim):
             assert rep.tolerance == (0.01 if claim == "table-2" else ROUTE_TOL), claim
+
+
+def test_scalar_instance_deviation_text_and_tol():
+    eq = _instance("d", "=", 2.0, 1.5)
+    assert (eq.expected, eq.observed, eq.deviation, eq.passed) == ("= 2", "1.5", 0.5, False)
+    le = _instance("d", "<=", 2.0, 1.5)
+    assert (le.expected, le.deviation, le.passed) == ("<= 2", 0.0, True)
+    lt = _instance("d", "<", 2.0, 2.5)
+    assert (lt.expected, lt.deviation, lt.passed) == ("< 2", 0.5, False)
+    # tol widens = and <=, and widens the gap that < needs
+    assert _instance("d", "=", 2.0, 1.995, tol=0.01).passed
+    assert _instance("d", "<=", 2.0, 2.005, tol=0.01).passed
+    assert not _instance("d", "<", 2.0, 1.995, tol=0.01).passed
+    assert _instance("d", "<", 2.0, 1.985, tol=0.01).passed
+    # tol=0.0 makes <= exact
+    assert not _instance("d", "<=", 1.0, 1.0 + 1e-12, tol=0.0).passed
+    assert _instance("d", "<=", 1.0, 1.0, tol=0.0).passed
+    assert _instance("d", "=", 1.0, 3.0, informational=True).informational
 
 
 def test_thm_21_needs_a_nonempty_sweep():
