@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, _bfs, edge_list, from_edge_list, is_tree
+from .graphs import Graph, _bfs, _is_int, edge_list, from_edge_list, is_tree
 
 __all__ = [
     "FamilyDescriptor",
@@ -69,7 +69,14 @@ def build(desc: FamilyDescriptor) -> Graph:
     return ctor(*desc.params)
 
 
+def _check_ints(**sizes) -> None:
+    for name, v in sizes.items():
+        if not _is_int(v):
+            raise ValueError(f"{name} must be an integer, got {v!r}")
+
+
 def path_graph(n: int) -> Graph:
+    _check_ints(n=n)
     if n < 1:
         raise ValueError("path needs n >= 1")
     return from_edge_list(n, [(i, i + 1) for i in range(n - 1)])
@@ -77,12 +84,14 @@ def path_graph(n: int) -> Graph:
 
 def star_graph(n: int) -> Graph:
     """Star on n vertices, K_{1,n-1}, center 0."""
+    _check_ints(n=n)
     if n < 2:
         raise ValueError("star needs n >= 2")
     return from_edge_list(n, [(0, i) for i in range(1, n)])
 
 
 def complete_graph(n: int) -> Graph:
+    _check_ints(n=n)
     if n < 1:
         raise ValueError("complete needs n >= 1")
     return Graph(~np.eye(n, dtype=bool))
@@ -90,6 +99,7 @@ def complete_graph(n: int) -> Graph:
 
 def tkst_tree(k: int, s: int, t: int) -> Graph:
     """Path on k+1 vertices 0..k with s pendants at 0 and t pendants at k."""
+    _check_ints(k=k, s=s, t=t)
     if k < 1 or s < 0 or t < 0:
         raise ValueError("tkst needs k >= 1, s >= 0, t >= 0")
     edges = [(i, i + 1) for i in range(k)]
@@ -101,7 +111,8 @@ def tkst_tree(k: int, s: int, t: int) -> Graph:
 def diam4_tree(k: int, xs) -> Graph:
     """Root 0 joined to branch vertices 1..k; branch i carries xs[i-1]
     pendants. Needs the two largest branch loads positive (diameter 4)."""
-    xs = tuple(int(x) for x in xs)
+    xs = tuple(xs)
+    _check_ints(k=k, **{f"xs[{i}]": x for i, x in enumerate(xs)})
     if k < 2 or len(xs) != k:
         raise ValueError("diam4 needs k >= 2 and one x per branch")
     if any(x < 0 for x in xs):
@@ -119,6 +130,7 @@ def diam4_tree(k: int, xs) -> Graph:
 
 def windmill_graph(eta: int, mu: int) -> Graph:
     """eta copies of K_mu all sharing the hub vertex 0."""
+    _check_ints(eta=eta, mu=mu)
     if eta < 2 or mu < 3:
         raise ValueError("windmill needs eta >= 2, mu >= 3")
     edges = []
@@ -130,6 +142,7 @@ def windmill_graph(eta: int, mu: int) -> Graph:
 
 def wprime_graph(eta: int, mu: int) -> Graph:
     """K_eta on 0..eta-1 with a K_mu blade glued at each core vertex."""
+    _check_ints(eta=eta, mu=mu)
     if eta < 2 or mu < 2:
         raise ValueError("wprime needs eta >= 2, mu >= 2")
     edges = [(u, v) for u in range(eta) for v in range(u + 1, eta)]
@@ -144,6 +157,7 @@ def wprime_graph(eta: int, mu: int) -> Graph:
 def book_graph(k: int) -> Graph:
     """K_{1,k} box K_2: k triangular pages sharing a spine edge, each page
     closed into a quadrilateral. 2k+2 vertices, 3k+1 edges."""
+    _check_ints(k=k)
     if k < 1:
         raise ValueError("book needs k >= 1")
     return cartesian(star_graph(k + 1), complete_graph(2))
@@ -184,7 +198,8 @@ def line_graph(g: Graph) -> tuple[Graph, tuple[tuple[int, int], ...]]:
 
 def kronecker(g: Graph, h: Graph) -> Graph:
     """Tensor (categorical) product; vertex (u, x) is u * h.n + x."""
-    return Graph(np.kron(g.adj, h.adj))
+    n = g.n * h.n
+    return Graph((g.adj[:, None, :, None] & h.adj[None, :, None, :]).reshape(n, n))
 
 
 def cartesian(g: Graph, h: Graph) -> Graph:

@@ -69,7 +69,10 @@ class Graph:
     @cached_property
     def neighbors(self) -> tuple[tuple[int, ...], ...]:
         """Each vertex's neighbours in increasing order, as tuples."""
-        return tuple(tuple(np.flatnonzero(row).tolist()) for row in self.adj)
+        # row-major nonzeros, split at each row's cumulative degree
+        cols = np.nonzero(self.adj)[1].tolist()
+        ends = np.cumsum(np.count_nonzero(self.adj, axis=1)).tolist()
+        return tuple(tuple(cols[a:b]) for a, b in zip([0] + ends, ends))
 
     @property
     def edge_count(self) -> int:
@@ -106,8 +109,9 @@ def from_edge_list(n: int, edges) -> Graph:
 
 def edge_list(g: Graph) -> list[tuple[int, int]]:
     """Edges as sorted (u, v) pairs with u < v, lexicographic order."""
-    iu, iv = np.nonzero(np.triu(g.adj))
-    return list(zip(iu.tolist(), iv.tolist()))
+    iu, iv = np.nonzero(g.adj)
+    upper = iu < iv
+    return list(zip(iu[upper].tolist(), iv[upper].tolist()))
 
 
 def degrees(g: Graph) -> np.ndarray:

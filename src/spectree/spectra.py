@@ -116,14 +116,25 @@ def a_beta_m(tree: Graph, m: int) -> float:
     decomposition, then cross-checked against the second-smallest eigenvalue
     of the explicitly assembled product Laplacian (ROUTE_TOL).
     """
+    lg = _tree_line_graph(tree)
+    if m < 2:
+        raise ValueError("a_beta_m needs m >= 2")
+    return _a_beta(lg, algebraic_connectivity(lg), m)
+
+
+def _tree_line_graph(tree: Graph) -> Graph:
+    """L(tree), for a tree with at least two edges."""
     if not is_tree(tree):
         raise ValueError("a_beta_m needs a tree")
     if tree.edge_count < 2:
         raise ValueError("a_beta_m needs a tree with >= 2 edges")
-    if m < 2:
-        raise ValueError("a_beta_m needs m >= 2")
-    lg, _ = line_graph(tree)
-    cand = min((m - 1) * algebraic_connectivity(lg), q_min(lg, m))
+    return line_graph(tree)[0]
+
+
+def _a_beta(lg: Graph, a_l: float, m: int) -> float:
+    """a_beta_m for the line graph lg of a tree, given a_l = a(lg) and
+    m >= 2, so a sweep over m builds lg and solves a(lg) once."""
+    cand = min((m - 1) * a_l, q_min(lg, m))
     direct = algebraic_connectivity(kronecker(lg, complete_graph(m)))
     if abs(cand - direct) > ROUTE_TOL:
         raise RuntimeError(

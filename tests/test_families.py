@@ -115,6 +115,33 @@ def test_book_is_stacked_triangle_pages():
     np.testing.assert_array_equal(b.adj, oracle)
 
 
+# a valid parameter tuple and the argument names for every family kind
+_GOOD_PARAMS = {
+    "path": ((4,), ("n",)),
+    "star": ((4,), ("n",)),
+    "complete": ((4,), ("n",)),
+    "tkst": ((1, 2, 2), ("k", "s", "t")),
+    "diam4": ((3, 2, 2, 1), ("k", r"xs\[0\]", r"xs\[1\]", r"xs\[2\]")),
+    "windmill": ((2, 3), ("eta", "mu")),
+    "wprime": ((3, 2), ("eta", "mu")),
+    "book": ((3,), ("k",)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(families._FAMILIES))
+def test_constructors_name_a_non_integer_size(kind):
+    params, names = _GOOD_PARAMS[kind]
+    ctor = families._FAMILIES[kind][0]
+    assert ctor(*params).n >= 1
+    for i, name in enumerate(names):
+        for bad in (float(params[i]), True, str(params[i])):
+            args = params[:i] + (bad,) + params[i + 1:]
+            with pytest.raises(ValueError, match=f"^{name} must be an integer, got {bad!r}$"):
+                ctor(*args)
+    # numpy integers are sizes too
+    assert ctor(*map(np.int64, params)).n == ctor(*params).n
+
+
 # ---- descriptors ----
 
 def test_parse_format_round_trip():

@@ -362,10 +362,25 @@ _PROPERTY = settings(derandomize=True, deadline=None)
 @given(_general_graphs())
 def test_neighbor_view_matches_adjacency(g):
     assert g.neighbors is g.neighbors  # built once
-    assert type(g.neighbors) is tuple and len(g.neighbors) == g.n
-    for v, nb in enumerate(g.neighbors):
-        assert type(nb) is tuple
-        assert nb == tuple(np.flatnonzero(g.adj[v]).tolist())
+    # isolated vertices first and last, where the cumulative-degree split
+    # has empty slices at both ends
+    padded = Graph(np.pad(g.adj, 1))
+    for h in (g, padded):
+        assert type(h.neighbors) is tuple and len(h.neighbors) == h.n
+        for v, nb in enumerate(h.neighbors):
+            assert type(nb) is tuple and all(type(w) is int for w in nb)
+            assert nb == tuple(np.flatnonzero(h.adj[v]).tolist())
+    assert padded.neighbors[0] == padded.neighbors[-1] == ()
+
+
+@_PROPERTY
+@given(_general_graphs(), _general_graphs())
+def test_kronecker_is_the_kron_of_the_adjacency_matrices(g, h):
+    k1 = complete_graph(1)
+    for a, b in ((g, h), (h, g), (g, k1), (k1, g)):
+        prod = kronecker(a, b)
+        assert prod.adj.dtype == np.bool_ and not prod.adj.flags.writeable
+        np.testing.assert_array_equal(prod.adj, np.kron(a.adj, b.adj))
 
 
 @_PROPERTY
@@ -398,6 +413,10 @@ def test_vertex_count_is_the_adjacency_order(g):
 @given(_general_graphs())
 def test_edge_list_and_dict_round_trips_keep_the_edges(g):
     edges = edge_list(g)
+    # the upper triangle in row-major order, as plain ints
+    iu, iv = np.nonzero(np.triu(g.adj))
+    assert edges == list(zip(iu.tolist(), iv.tolist()))
+    assert all(type(u) is int and type(v) is int for u, v in edges)
     assert edge_list(from_edge_list(g.n, edges)) == edges
     h = graph_from_dict(graph_to_dict(g))
     assert h.n == g.n and edge_list(h) == edges

@@ -15,6 +15,7 @@ from spectree.families import (
 )
 from spectree.graphs import Graph, from_edge_list
 from spectree.spectra import (
+    _a_beta,
     a_beta_m,
     adjacency_matrix,
     algebraic_connectivity,
@@ -131,6 +132,16 @@ def test_a_beta_m_validation():
         a_beta_m(path_graph(2), 2)  # single edge, line graph is K_1
     with pytest.raises(ValueError):
         a_beta_m(path_graph(4), 1)
+
+
+def test_shared_line_graph_gives_a_beta_m_bitwise():
+    # the sweeps build L(tree) and solve a(L) once, then call _a_beta per m
+    for n in range(3, 10):
+        for tree in enumerate_free_trees(n):
+            lg, _ = line_graph(tree)
+            a_l = algebraic_connectivity(lg)
+            for m in (2, 3, 4):
+                assert _a_beta(lg, a_l, m) == a_beta_m(tree, m), (n, m)
 
 
 def test_a_beta_m_star_and_double_star_values():

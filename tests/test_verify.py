@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 
@@ -207,6 +208,28 @@ def test_thm_21_needs_a_nonempty_sweep():
         check_theorem_21(2)
     with pytest.raises(ValueError, match="max_n >= 3"):
         run_claim("thm-2.1", max_n=2)
+    for ms in ((1,), (2, 1), (0, 3)):
+        with pytest.raises(ValueError, match="m >= 2"):
+            check_theorem_21(5, ms)
+    with pytest.raises(ValueError, match="m >= 2"):
+        run_claim("thm-2.1", m=1)
+
+
+def test_thm_21_single_m_run_matches_the_default_run():
+    # one report per m, in the order given; a single-m run repeats the
+    # matching report of the two-m run instance for instance
+    both = run_claim("thm-2.1", max_n=9)
+    assert [r.instances[0].descriptor[:4] for r in both] == ["m=2 ", "m=3 "]
+    (only3,) = run_claim("thm-2.1", max_n=9, m=3)
+    assert only3 == both[1]
+    assert check_theorem_21(9, (3, 2)) == both[::-1]
+
+
+def test_report_dict_lists_instance_fields_in_order():
+    inst = CheckInstance("d", "= 1", "1", True, informational=False, deviation=0.5)
+    (row,) = VerificationReport("c", ROUTE_TOL, (inst,)).to_dict()["instances"]
+    assert row == dataclasses.asdict(inst)
+    assert list(row) == [f.name for f in dataclasses.fields(CheckInstance)]
 
 
 # (passed, failed, informational) of every report run_claim returns
