@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .graphs import _is_int
+
 __all__ = [
     "GROUP_TOL",
     "INT_TOL",
@@ -71,7 +73,8 @@ class Spectrum:
         for v, mult in self.pairs:
             if not math.isfinite(v):
                 raise ValueError(f"values must be finite, got {v!r}")
-            if not isinstance(mult, (int, np.integer)) or mult < 1:
+            # plain ints pass on the cheap type test, others need _is_int
+            if not (type(mult) is int or _is_int(mult)) or mult < 1:
                 raise ValueError(f"multiplicities must be positive integers, got {mult!r}")
             if last is not None and not v > last:
                 raise ValueError("values must be strictly increasing")
@@ -97,29 +100,27 @@ def spectrum_from_pairs(pairs) -> Spectrum:
     """Merge (value, multiplicity) pairs whose values chain within GROUP_TOL;
     a merged group takes its multiplicity-weighted mean value.
 
-    Multiplicities must be non-negative integers; a pair with multiplicity
-    0 is dropped, so a closed form may list a part that is empty.
+    Multiplicities must be non-negative integers (not bools); a pair with
+    multiplicity 0 is dropped, so a closed form may list a part that is
+    empty.
 
     Each sorted value is compared with the previous one, not with the
     group's first, so a group's width is unbounded: values spaced
     0.9 * GROUP_TOL apart form one group, and four of them span
-    2.7 * GROUP_TOL."""
+    2.7 * GROUP_TOL.
+
+    The pairs are sorted by value and then by multiplicity, and a group's
+    sum of value * multiplicity starts at its first member and adds the
+    rest left to right. Both orders are fixed, so the means are the same
+    bits on every run and for any input order."""
     items = []
     for v, m in pairs:
-        if not isinstance(m, (int, np.integer)) or m < 0:
+        if not _is_int(m) or m < 0:
             raise ValueError(f"multiplicities must be non-negative integers, got {m!r}")
         if m > 0:
             items.append((float(v), int(m)))
     items.sort()
-    merged: list[list[float]] = []
-    for v, m in items:
-        if merged and v - merged[-1][2] <= GROUP_TOL:
-            tot, wsum, _ = merged[-1]
-            merged[-1] = [tot + m, wsum + v * m, v]
-        else:
-            merged.append([m, v * m, v])
-    out = tuple((wsum / tot, int(tot)) for tot, wsum, _ in merged)
-    return Spectrum(pairs=out)
+    return _merge([v for v, _ in items], [m for _, m in items])
 
 
 def group_spectrum(values) -> Spectrum:
@@ -129,7 +130,29 @@ def group_spectrum(values) -> Spectrum:
         raise ValueError("need a 1-d value list")
     if np.any(np.diff(arr) < 0):
         raise ValueError("values must be ascending")
-    return spectrum_from_pairs([(float(v), 1) for v in arr])
+    vals = arr.tolist()
+    return _merge(vals, [1] * len(vals))
+
+
+def _merge(vals: list[float], mults: list[int]) -> Spectrum:
+    # the one grouping rule: walk the sorted values once; a group goes on
+    # while each step from the previous value is <= GROUP_TOL, and its sum
+    # starts at its first v * m (so a -0.0 group keeps its sign)
+    pairs = []
+    if vals:
+        prev, tot = vals[0], mults[0]
+        wsum = prev * tot
+        for i in range(1, len(vals)):
+            v, m = vals[i], mults[i]
+            if v - prev <= GROUP_TOL:
+                tot += m
+                wsum += v * m
+            else:
+                pairs.append((wsum / tot, tot))
+                tot, wsum = m, v * m
+            prev = v
+        pairs.append((wsum / tot, tot))
+    return Spectrum(pairs=tuple(pairs))
 
 
 def second_smallest(s: Spectrum) -> float:

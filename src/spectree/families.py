@@ -8,6 +8,7 @@ Family descriptors use a compact text form, e.g. "path:4", "tkst:1,2,3",
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -91,9 +92,18 @@ def star_graph(n: int) -> Graph:
 
 
 def complete_graph(n: int) -> Graph:
+    """K_n. Every call with the same n returns one shared Graph, whose
+    adj is read-only."""
     _check_ints(n=n)
     if n < 1:
         raise ValueError("complete needs n >= 1")
+    return _complete_graph(int(n))
+
+
+# keyed after _check_ints: True == 1 as a key, and complete_graph(True)
+# must still raise once K_1 is cached
+@lru_cache(maxsize=16)
+def _complete_graph(n: int) -> Graph:
     return Graph(~np.eye(n, dtype=bool))
 
 

@@ -5,8 +5,9 @@ come from Prufer sequences, line graphs from the textbook definition,
 blocks from a recursive lowpoint DFS, component counts from a
 union-find, bipartiteness from trying every 2-colouring, tree centers
 from eccentricities, enumeration representatives from the largest level
-sequence over all roots, and eigenvalues from a cyclic Jacobi iteration
-rather than the LAPACK routine the package calls.
+sequence over all roots, eigenvalues from a cyclic Jacobi iteration
+rather than the LAPACK routine the package calls, and eigenvalue grouping
+from the package's first merge loop, kept here as written.
 """
 
 from __future__ import annotations
@@ -214,6 +215,25 @@ def cartesian_adjacency_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                     if (u == v and b[i, j]) or (i == j and a[u, v]):
                         out[u * nb + i, v * nb + j] = True
     return out
+
+
+# ---- eigenvalue grouping ----
+
+def group_pairs_oracle(pairs, tol: float) -> tuple[tuple[float, int], ...]:
+    """(value, multiplicity) groups as spectree first computed them: drop
+    multiplicity 0, sort the (value, multiplicity) tuples, and merge a value
+    into the group before it when it is within tol of that group's last
+    value. A group is [total, sum of v * m, last value], started from its
+    first member."""
+    items = sorted((float(v), int(m)) for v, m in pairs if m > 0)
+    merged: list[list[float]] = []
+    for v, m in items:
+        if merged and v - merged[-1][2] <= tol:
+            tot, wsum, _ = merged[-1]
+            merged[-1] = [tot + m, wsum + v * m, v]
+        else:
+            merged.append([m, v * m, v])
+    return tuple((wsum / tot, int(tot)) for tot, wsum, _ in merged)
 
 
 # ---- cyclic Jacobi eigensolver ----

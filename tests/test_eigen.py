@@ -1,8 +1,11 @@
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from spectree.eigen import (
     GROUP_TOL,
@@ -19,17 +22,22 @@ from spectree.eigen import (
 )
 from spectree.families import (
     beta_m,
+    book_graph,
     complete_graph,
+    diam4_tree,
     enumerate_free_trees,
     kronecker,
     line_graph,
     star_graph,
     tkst_tree,
     windmill_graph,
+    wprime_graph,
 )
-from spectree.spectra import laplacian, q_matrix
+from spectree.graphs import Graph
+from spectree.spectra import laplacian, product_spectrum, q_matrix
 
-from _oracles import jacobi
+from _oracles import group_pairs_oracle, jacobi
+from _strategies import PROPERTY
 
 
 def _random_symmetric(rng, n, scale=1.0):
@@ -195,6 +203,16 @@ def test_spectrum_from_pairs_rejects_fractional_multiplicity():
         spectrum_from_pairs([(0.0, 1.5), (2.0, 1)])
 
 
+def test_bool_multiplicities_are_rejected():
+    with pytest.raises(ValueError, match="positive integers, got True"):
+        Spectrum(pairs=((1.0, True),))
+    for bad in (True, False, np.True_):
+        with pytest.raises(ValueError, match=f"non-negative integers, got {bad!r}"):
+            spectrum_from_pairs([(1.0, bad)])
+    with pytest.raises(ValueError, match="positive integers, got True"):
+        spectrum_from_dict(json.loads('{"pairs": [[1.0, true]], "tol": 1e-07}'))
+
+
 def test_spectrum_from_pairs_rejects_negative_multiplicity():
     with pytest.raises(ValueError, match="non-negative integers, got -1"):
         spectrum_from_pairs([(0.0, 1), (3.0, -1)])
@@ -247,6 +265,83 @@ def test_spectrum_from_json_rejects_other_tol():
 def test_spectrum_from_dict_names_malformed_shape(doc, problem):
     with pytest.raises(ValueError, match=problem):
         spectrum_from_dict(doc)
+
+
+# ---- grouping bits ----
+
+def _hex(pairs):
+    return [(float(v).hex(), int(m)) for v, m in pairs]
+
+
+@st.composite
+def _pair_lists(draw):
+    """(value, multiplicity) pairs in any order: +-0.0, one value under
+    several multiplicities, chains in steps of 0, 0.9 * GROUP_TOL, exactly
+    GROUP_TOL and just over it, and multiplicity 0."""
+    t = GROUP_TOL
+    starts = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5]), st.floats(-10, 10))
+    steps = st.sampled_from([0.0, -0.0, 0.45 * t, 0.9 * t, t, 1.1 * t])
+    vals = []
+    for start in draw(st.lists(starts, max_size=6)):
+        vals.append(start)
+        for step in draw(st.lists(steps, max_size=4)):
+            vals.append(vals[-1] + step)
+    mults = st.one_of(st.integers(0, 4), st.integers(0, 4).map(np.int64))
+    return draw(st.permutations([(v, draw(mults)) for v in vals]))
+
+
+@PROPERTY
+@given(_pair_lists())
+def test_grouping_matches_reference_bits(pairs):
+    want = group_pairs_oracle(pairs, GROUP_TOL)
+    assert _hex(spectrum_from_pairs(pairs).pairs) == _hex(want)
+    vals = np.sort(np.array([v for v, m in pairs for _ in range(m)], dtype=np.float64))
+    units = [(v, 1) for v in vals.tolist()]
+    assert _hex(group_spectrum(vals).pairs) == _hex(group_pairs_oracle(units, GROUP_TOL))
+
+
+def _product_inputs():
+    """The section-3 families (windmills, W' graphs, book and diameter-4
+    line graphs) and seeded G(n, 0.3) graphs."""
+    gs = [windmill_graph(eta, mu) for eta in (2, 3) for mu in (3, 4)]
+    gs += [wprime_graph(3, 3), wprime_graph(3, 4)]
+    gs += [line_graph(book_graph(k))[0] for k in (2, 3, 4)]
+    gs += [line_graph(diam4_tree(3, xs))[0] for xs in ((2, 2, 1), (2, 2, 2))]
+    rng = np.random.default_rng(14)
+    for n in range(5, 11):
+        upper = np.triu(rng.random((n, n)) < 0.3, 1)
+        gs.append(Graph(upper | upper.T))
+    return gs
+
+
+def _digest(groups) -> str:
+    h = hashlib.sha256()
+    for pairs in groups:
+        h.update(repr(_hex(pairs)).encode())
+    return h.hexdigest()
+
+
+# SHA-256 of the raw eigenvalues both product routes group, and of the
+# grouped spectra, over _product_inputs() and m in (2, 3, 4), recorded with
+# the first merge loop (the oracle). The raw values carry this LAPACK
+# build's last bits; on another build the spectra are held to the oracle
+# alone.
+_PRODUCT_SOLVES_SHA256 = "91aa138e4f5a85bd65d934525a5ab2ad7844fbf269f4699f101bcce62f099c43"
+_PRODUCT_SPECTRA_SHA256 = "21f354041c40b139f506b286a804d68dd6fc8594d106a5afdba57222d389e672"
+
+
+def test_product_spectrum_grouping_bits():
+    raw, got = [], []
+    for g in _product_inputs():
+        for m in (2, 3, 4):
+            res = product_spectrum(g, m)
+            direct = eigenvalues(laplacian(kronecker(g, complete_graph(m))))
+            union = np.concatenate([(m - 1) * eigenvalues(laplacian(g)), np.repeat(eigenvalues(q_matrix(g, m)), m - 1)])
+            raw += [[(v, 1) for v in direct.tolist()], [(v, 1) for v in np.sort(union).tolist()]]
+            got += [res.direct.pairs, res.decomposed.pairs]
+    assert [_hex(p) for p in got] == [_hex(group_pairs_oracle(r, GROUP_TOL)) for r in raw]
+    if _digest(raw) == _PRODUCT_SOLVES_SHA256:
+        assert _digest(got) == _PRODUCT_SPECTRA_SHA256
 
 
 def test_default_tolerances_positive():

@@ -142,6 +142,23 @@ def test_constructors_name_a_non_integer_size(kind):
     assert ctor(*map(np.int64, params)).n == ctor(*params).n
 
 
+def test_complete_graph_is_shared_and_read_only():
+    k3 = complete_graph(3)
+    assert complete_graph(3) is k3 and complete_graph(np.int64(3)) is k3
+    np.testing.assert_array_equal(k3.adj, ~np.eye(3, dtype=bool))
+    assert not k3.adj.flags.writeable
+    with pytest.raises(ValueError):
+        k3.adj[0, 1] = False
+
+
+def test_complete_graph_checks_n_before_the_cache():
+    # True == 1 and 2.0 == 2 as cache keys; the check must come first
+    assert complete_graph(1).n == 1 and complete_graph(2).n == 2
+    for bad in (True, 2.0, False, 1.0):
+        with pytest.raises(ValueError, match=f"^n must be an integer, got {bad!r}$"):
+            complete_graph(bad)
+
+
 # ---- descriptors ----
 
 def test_parse_format_round_trip():

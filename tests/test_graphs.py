@@ -4,8 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
+from hypothesis import given
 
 from spectree.families import (
     complete_graph,
@@ -38,6 +37,7 @@ from spectree.graphs import (
 )
 
 from _oracles import brute_cut_vertices, component_count, is_bipartite_oracle, recursive_blocks
+from _strategies import PROPERTY, general_graphs
 
 
 def test_from_edge_list_basic():
@@ -331,35 +331,8 @@ def test_graph_file_round_trip(tmp_path):
 
 # ---- property tests on general graphs ----
 
-@st.composite
-def _edge_graphs(draw, n, max_edges=None):
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=max_edges)) if pairs else []
-    return from_edge_list(n, edges)
-
-
-@st.composite
-def _general_graphs(draw):
-    """Graphs on at most 9 vertices, connected or not, built from an edge
-    list or straight from an adjacency matrix."""
-    kind = draw(st.sampled_from(("edges", "line", "kron", "complete")))
-    if kind == "complete":
-        return complete_graph(draw(st.integers(1, 9)))
-    if kind == "kron":
-        a = draw(st.integers(1, 3))
-        return kronecker(draw(_edge_graphs(a)), draw(_edge_graphs(draw(st.integers(1, 9 // a)))))
-    if kind == "line":
-        g = draw(_edge_graphs(draw(st.integers(2, 9)), max_edges=9))
-        if g.edge_count:
-            return line_graph(g)[0]  # else no line graph: fall through
-    return draw(_edge_graphs(draw(st.integers(1, 9))))
-
-
-_PROPERTY = settings(derandomize=True, deadline=None)
-
-
-@_PROPERTY
-@given(_general_graphs())
+@PROPERTY
+@given(general_graphs())
 def test_neighbor_view_matches_adjacency(g):
     assert g.neighbors is g.neighbors  # built once
     # isolated vertices first and last, where the cumulative-degree split
@@ -373,8 +346,8 @@ def test_neighbor_view_matches_adjacency(g):
     assert padded.neighbors[0] == padded.neighbors[-1] == ()
 
 
-@_PROPERTY
-@given(_general_graphs(), _general_graphs())
+@PROPERTY
+@given(general_graphs(), general_graphs())
 def test_kronecker_is_the_kron_of_the_adjacency_matrices(g, h):
     k1 = complete_graph(1)
     for a, b in ((g, h), (h, g), (g, k1), (k1, g)):
@@ -383,34 +356,34 @@ def test_kronecker_is_the_kron_of_the_adjacency_matrices(g, h):
         np.testing.assert_array_equal(prod.adj, np.kron(a.adj, b.adj))
 
 
-@_PROPERTY
-@given(_general_graphs())
+@PROPERTY
+@given(general_graphs())
 def test_is_connected_matches_union_find(g):
     assert is_connected(g) == (component_count(g.adj) == 1)
 
 
-@_PROPERTY
-@given(_general_graphs())
+@PROPERTY
+@given(general_graphs())
 def test_is_bipartite_matches_brute_force(g):
     assert is_bipartite(g) == is_bipartite_oracle(g)
 
 
-@_PROPERTY
-@given(_general_graphs())
+@PROPERTY
+@given(general_graphs())
 def test_blocks_match_recursive_oracle_on_general_graphs(g):
     # connected draws only; K_1 is one block here and none in the oracle
     if g.n >= 2 and component_count(g.adj) == 1:
         assert {frozenset(b) for b in block_decomposition(g).blocks} == recursive_blocks(g)
 
 
-@_PROPERTY
-@given(_general_graphs())
+@PROPERTY
+@given(general_graphs())
 def test_vertex_count_is_the_adjacency_order(g):
     assert g.n == g.adj.shape[0]
 
 
-@_PROPERTY
-@given(_general_graphs())
+@PROPERTY
+@given(general_graphs())
 def test_edge_list_and_dict_round_trips_keep_the_edges(g):
     edges = edge_list(g)
     # the upper triangle in row-major order, as plain ints
@@ -422,8 +395,8 @@ def test_edge_list_and_dict_round_trips_keep_the_edges(g):
     assert h.n == g.n and edge_list(h) == edges
 
 
-@_PROPERTY
-@given(_general_graphs())
+@PROPERTY
+@given(general_graphs())
 def test_line_graph_vertex_i_is_edge_i(g):
     # emap is the one record of which edge became which vertex
     if g.edge_count == 0:

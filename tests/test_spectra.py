@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given
 
 from spectree import spectra
 from spectree.eigen import eigensystem
@@ -30,6 +31,7 @@ from spectree.spectra import (
 )
 
 from _oracles import jacobi, random_prufer_tree
+from _strategies import PROPERTY, general_graphs
 
 
 def _cycle(n: int) -> Graph:
@@ -181,6 +183,67 @@ def test_eigvec_lift_check_rejects_wrong_eigenvalues(monkeypatch):
     for g in (path_graph(4), _cycle(5), windmill_graph(3, 4)):
         for m in (2, 3):
             assert not eigvec_lift_check(g, m)
+
+
+@PROPERTY
+@given(general_graphs())
+def test_eigvec_lift_check_on_general_graphs(g):
+    for m in (2, 3, 4):
+        assert eigvec_lift_check(g, m)
+
+
+@pytest.mark.parametrize("solve", ["laplacian", "q"])
+@pytest.mark.parametrize("col", [0, -1])
+def test_eigvec_lift_check_rejects_a_perturbed_eigenvector(monkeypatch, solve, col):
+    # one entry of one eigenvector column moved by 1e-6 leaves a residual
+    # near 1e-6, far above ROUTE_TOL, so the check must fail
+    def perturbed(mat):
+        vals, vecs = eigensystem(mat)
+        calls.append(mat)
+        if len(calls) == (1 if solve == "laplacian" else 2):
+            vecs = vecs.copy()
+            vecs[0, col] += 1e-6
+        return vals, vecs
+
+    monkeypatch.setattr(spectra, "eigensystem", perturbed)
+    for g in (path_graph(4), _cycle(5), windmill_graph(3, 4)):
+        for m in (2, 3, 4):
+            calls = []
+            assert not eigvec_lift_check(g, m)
+            assert len(calls) == 2
+
+
+_ROUTES = (
+    q_matrix,
+    q_min,
+    product_connected,
+    product_laplacian_spectrum_direct,
+    product_laplacian_spectrum_decomposed,
+    product_spectrum,
+    eigvec_lift_check,
+    a_beta_m,
+)
+
+
+@pytest.mark.parametrize("bad, problem", [
+    (2.0, "must be an integer, got 2.0"),
+    (True, "must be an integer, got True"),
+    ("3", "must be an integer, got '3'"),
+    (None, "must be an integer, got None"),
+    (1, "must be >= 2, got 1"),
+    (np.int64(0), "must be >= 2, got 0"),
+])
+def test_product_routes_name_a_bad_m(bad, problem):
+    for route in _ROUTES:
+        with pytest.raises(ValueError, match=f"^m {problem}$"):
+            route(path_graph(4), bad)
+
+
+def test_product_routes_take_numpy_integer_m():
+    g = path_graph(4)
+    assert product_spectrum(g, np.int64(3)).decomposed.pairs == product_spectrum(g, 3).decomposed.pairs
+    assert eigvec_lift_check(g, np.int64(3))
+    assert a_beta_m(g, np.int64(3)) == a_beta_m(g, 3)
 
 
 def test_small_tree_sweep_decomposition():
