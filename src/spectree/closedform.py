@@ -15,6 +15,7 @@ import numpy as np
 
 from .eigen import Spectrum, eigenvalues, group_spectrum, spectrum_from_pairs, spectrum_is_integral
 from .families import beta_m, tkst_tree
+from .graphs import _check_ints
 from .spectra import laplacian
 
 __all__ = [
@@ -48,8 +49,8 @@ def quad_roots(p: float, q: float) -> tuple[float, float]:
 def star_product_spectrum(n: int, m: int) -> Spectrum:
     """Laplacian spectrum of K_{n-1} x K_m, i.e. of the product of the line
     graph of the star on n vertices with K_m."""
-    if n < 3 or m < 2:
-        raise ValueError("needs n >= 3, m >= 2")
+    _check_ints(3, n=n)
+    _check_ints(2, m=m)
     pairs = [
         (0.0, 1),
         (float((m - 1) * (n - 2) - 1), (n - 2) * (m - 1)),
@@ -63,8 +64,7 @@ def t1st_q_spectrum_m2(s: int, t: int) -> Spectrum:
     """Signless Laplacian spectrum of L(T(1,s,t)): s-1 copies of s-1, t-1
     copies of t-1, one s+t-1, and the roots of
     x^2 - (2(s+t)-1) x + (4st - 2(s+t))."""
-    if s < 1 or t < 1:
-        raise ValueError("needs s >= 1, t >= 1")
+    _check_ints(1, s=s, t=t)
     lo, hi = quad_roots(2.0 * (s + t) - 1.0, 4.0 * s * t - 2.0 * (s + t))
     pairs = [(float(s + t - 1), 1), (lo, 1), (hi, 1)]
     if s >= 2:
@@ -77,8 +77,7 @@ def t1st_q_spectrum_m2(s: int, t: int) -> Spectrum:
 def t1st_line_laplacian_spectrum(s: int, t: int) -> Spectrum:
     """Laplacian spectrum of L(T(1,s,t)), two cliques K_{s+1}, K_{t+1}
     sharing a vertex: {0, 1, (s+1)^(s-1), (t+1)^(t-1), s+t+1}."""
-    if s < 1 or t < 1:
-        raise ValueError("needs s >= 1, t >= 1")
+    _check_ints(1, s=s, t=t)
     pairs = [(0.0, 1), (1.0, 1), (float(s + t + 1), 1)]
     if s >= 2:
         pairs.append((float(s + 1), s - 1))
@@ -122,8 +121,8 @@ class CubicCoeffs:
 def integrality_cubic(s: int, t: int, m: int) -> CubicCoeffs:
     """The cubic factor deciding whether Lap(L(T(1,s,t)) x K_m) is integral
     (all other eigenvalues of that product are integers automatically)."""
-    if s < 1 or t < 1 or m < 2:
-        raise ValueError("needs s, t >= 1 and m >= 2")
+    _check_ints(1, s=s, t=t)
+    _check_ints(2, m=m)
     a = (2 * m - 1) * (s + t) - 2
     b = (
         m * (m - 1) * (s * s + t * t)
@@ -192,7 +191,7 @@ def integer_roots_of_monic_cubic(a: int, b: int, c: int) -> tuple[int, int, int]
 def is_beta_laplacian_integral(s: int, t: int, m: int) -> bool:
     """Exact integrality of Lap(L(T(1,s,t)) x K_m), cross-checked against
     the numeric eigensolve of the assembled product."""
-    exact = integrality_cubic(s, t, m).integer_roots() is not None
+    exact = integrality_cubic(s, t, m).integer_roots() is not None  # checks s, t and m
     vals = eigenvalues(laplacian(beta_m(tkst_tree(1, s, t), m)))
     numeric = spectrum_is_integral(group_spectrum(vals))
     if exact != numeric:
@@ -208,6 +207,9 @@ def is_beta_laplacian_integral(s: int, t: int, m: int) -> bool:
 def windmill_q_quadratic(eta: int, mu: int, m: int) -> tuple[int, int]:
     """(p, q) of the quadratic x^2 - p x + q holding the two non-fixed
     eigenvalues of Q_{m-1}(W(eta, mu))."""
+    _check_ints(2, eta=eta)
+    _check_ints(3, mu=mu)
+    _check_ints(2, m=m)
     p = (m - 1) * (mu - 1) * (eta + 1) + mu - 2
     q = eta * (mu - 1) * ((m - 1) * ((m - 1) * (mu - 1) + mu - 2) - 1)
     return p, q
@@ -215,10 +217,9 @@ def windmill_q_quadratic(eta: int, mu: int, m: int) -> tuple[int, int]:
 
 def windmill_product_spectrum(eta: int, mu: int, m: int) -> Spectrum:
     """Laplacian spectrum of W(eta, mu) x K_m in closed form."""
-    if eta < 2 or mu < 3 or m < 2:
-        raise ValueError("needs eta >= 2, mu >= 3, m >= 2")
+    p, q = windmill_q_quadratic(eta, mu, m)  # checks eta, mu and m
     w = m - 1
-    lo, hi = quad_roots(*(float(x) for x in windmill_q_quadratic(eta, mu, m)))
+    lo, hi = quad_roots(float(p), float(q))
     pairs = [
         # (m-1) * Lap(W) part, weight 1
         (0.0, 1),
@@ -245,8 +246,7 @@ def wprime_quadratics(eta: int, mu: int, m: int) -> dict[str, tuple[int, int]]:
     wind2: same role inside Q_{m-1}(W') (multiplicity eta-1 each root),
     wind3: the symmetric-quotient pair of Q_{m-1}(W') (multiplicity 1 each).
     """
-    if eta < 2 or mu < 2 or m < 2:
-        raise ValueError("needs eta >= 2, mu >= 2, m >= 2")
+    _check_ints(2, eta=eta, mu=mu, m=m)
     base = (m - 1) * (mu + eta - 2)
     col = m * mu - m - 1  # (m-1)(mu-1) + mu - 2
     return {
@@ -258,10 +258,8 @@ def wprime_quadratics(eta: int, mu: int, m: int) -> dict[str, tuple[int, int]]:
 
 def wprime_product_spectrum(eta: int, mu: int, m: int) -> Spectrum:
     """Laplacian spectrum of W'(eta, mu) x K_m in closed form."""
-    if eta < 2 or mu < 2 or m < 2:
-        raise ValueError("needs eta >= 2, mu >= 2, m >= 2")
+    quads = wprime_quadratics(eta, mu, m)  # checks eta, mu and m
     w = m - 1
-    quads = wprime_quadratics(eta, mu, m)
     l1, l2 = quad_roots(*(float(x) for x in quads["wind1"]))
     q1, q2 = quad_roots(*(float(x) for x in quads["wind2"]))
     r1, r2 = quad_roots(*(float(x) for x in quads["wind3"]))
@@ -286,10 +284,8 @@ def wprime_algebraic_connectivity(eta: int, mu: int, m: int) -> float:
 
     Only claimed for eta >= 3, mu >= 3; eta = 2 is rejected (the statement
     does not cover it)."""
-    if eta < 3 or mu < 3:
-        raise ValueError("closed form requires eta >= 3 and mu >= 3")
-    if m < 2:
-        raise ValueError("needs m >= 2")
+    _check_ints(3, eta=eta, mu=mu)
+    _check_ints(2, m=m)
     lo, _ = quad_roots(float(mu + eta), float(eta))
     return (m - 1) * lo
 
@@ -298,8 +294,7 @@ def wprime_algebraic_connectivity(eta: int, mu: int, m: int) -> float:
 
 def book_line_laplacian_spectrum(k: int) -> Spectrum:
     """Laplacian spectrum of the line graph of the book K_{1,k} x-box K_2."""
-    if k < 1:
-        raise ValueError("needs k >= 1")
+    _check_ints(1, k=k)
     lo, hi = quad_roots(float(k + 4), float(2 * k + 2))  # disc = k^2 + 8
     so, si = quad_roots(float(2 * k + 4), float(6 * k + 2))  # disc = 4(k^2-2k+2)
     pairs = [(0.0, 1), (2.0, 1), (so, 1), (si, 1)]
@@ -310,7 +305,6 @@ def book_line_laplacian_spectrum(k: int) -> Spectrum:
 
 def book_aconn_bound(k: int, m: int) -> float:
     """(m-1)(k + 4 - sqrt(k^2 + 8))/2, the scaled small root above."""
-    if k < 2 or m < 2:
-        raise ValueError("needs k >= 2, m >= 2")
+    _check_ints(2, k=k, m=m)
     lo, _ = quad_roots(float(k + 4), float(2 * k + 2))
     return (m - 1) * lo

@@ -12,7 +12,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .graphs import Graph, _bfs, _is_int, edge_list, from_edge_list, is_tree
+from .graphs import Graph, _bfs, _check_ints, edge_list, from_edge_list, is_tree
 
 __all__ = [
     "FamilyDescriptor",
@@ -55,13 +55,16 @@ def parse_family(text: str) -> FamilyDescriptor:
     kind = kind.strip().lower()
     if not sep or not rest:
         raise ValueError(f"bad family descriptor {text!r}")
+    parts = rest.split(",")
     if kind == "diam4":
         head, sep2, tail = rest.partition(";")
         if not sep2:
             raise ValueError("diam4 needs 'k;x1,..,xk'")
-        params = (int(head), *(int(x) for x in tail.split(",")))
-    else:
-        params = tuple(int(x) for x in rest.split(","))
+        parts = [head, *tail.split(",")]
+    try:
+        params = tuple(map(int, parts))
+    except ValueError:
+        raise ValueError(f"bad family descriptor {text!r}: parameters must be integers") from None
     return FamilyDescriptor(kind, params)
 
 
@@ -70,37 +73,25 @@ def build(desc: FamilyDescriptor) -> Graph:
     return ctor(*desc.params)
 
 
-def _check_ints(**sizes) -> None:
-    for name, v in sizes.items():
-        if not _is_int(v):
-            raise ValueError(f"{name} must be an integer, got {v!r}")
-
-
 def path_graph(n: int) -> Graph:
-    _check_ints(n=n)
-    if n < 1:
-        raise ValueError("path needs n >= 1")
+    _check_ints(1, n=n)
     return from_edge_list(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def star_graph(n: int) -> Graph:
     """Star on n vertices, K_{1,n-1}, center 0."""
-    _check_ints(n=n)
-    if n < 2:
-        raise ValueError("star needs n >= 2")
+    _check_ints(2, n=n)
     return from_edge_list(n, [(0, i) for i in range(1, n)])
 
 
 def complete_graph(n: int) -> Graph:
     """K_n. Every call with the same n returns one shared Graph, whose
     adj is read-only."""
-    _check_ints(n=n)
-    if n < 1:
-        raise ValueError("complete needs n >= 1")
+    _check_ints(1, n=n)
     return _complete_graph(int(n))
 
 
-# keyed after _check_ints: True == 1 as a key, and complete_graph(True)
+# keyed after the check: True == 1 as a key, and complete_graph(True)
 # must still raise once K_1 is cached
 @lru_cache(maxsize=16)
 def _complete_graph(n: int) -> Graph:
@@ -109,9 +100,8 @@ def _complete_graph(n: int) -> Graph:
 
 def tkst_tree(k: int, s: int, t: int) -> Graph:
     """Path on k+1 vertices 0..k with s pendants at 0 and t pendants at k."""
-    _check_ints(k=k, s=s, t=t)
-    if k < 1 or s < 0 or t < 0:
-        raise ValueError("tkst needs k >= 1, s >= 0, t >= 0")
+    _check_ints(1, k=k)
+    _check_ints(0, s=s, t=t)
     edges = [(i, i + 1) for i in range(k)]
     edges += [(0, k + 1 + i) for i in range(s)]
     edges += [(k, k + 1 + s + i) for i in range(t)]
@@ -122,11 +112,10 @@ def diam4_tree(k: int, xs) -> Graph:
     """Root 0 joined to branch vertices 1..k; branch i carries xs[i-1]
     pendants. Needs the two largest branch loads positive (diameter 4)."""
     xs = tuple(xs)
-    _check_ints(k=k, **{f"xs[{i}]": x for i, x in enumerate(xs)})
-    if k < 2 or len(xs) != k:
-        raise ValueError("diam4 needs k >= 2 and one x per branch")
-    if any(x < 0 for x in xs):
-        raise ValueError("branch loads must be >= 0")
+    _check_ints(2, k=k)
+    _check_ints(0, **{f"xs[{i}]": x for i, x in enumerate(xs)})
+    if len(xs) != k:
+        raise ValueError("diam4 needs one x per branch")
     if sorted(xs, reverse=True)[1] < 1:
         raise ValueError("diam4 needs at least two branches with pendants")
     edges = [(0, i) for i in range(1, k + 1)]
@@ -140,9 +129,8 @@ def diam4_tree(k: int, xs) -> Graph:
 
 def windmill_graph(eta: int, mu: int) -> Graph:
     """eta copies of K_mu all sharing the hub vertex 0."""
-    _check_ints(eta=eta, mu=mu)
-    if eta < 2 or mu < 3:
-        raise ValueError("windmill needs eta >= 2, mu >= 3")
+    _check_ints(2, eta=eta)
+    _check_ints(3, mu=mu)
     edges = []
     for j in range(eta):
         blade = [0] + [1 + j * (mu - 1) + i for i in range(mu - 1)]
@@ -152,9 +140,7 @@ def windmill_graph(eta: int, mu: int) -> Graph:
 
 def wprime_graph(eta: int, mu: int) -> Graph:
     """K_eta on 0..eta-1 with a K_mu blade glued at each core vertex."""
-    _check_ints(eta=eta, mu=mu)
-    if eta < 2 or mu < 2:
-        raise ValueError("wprime needs eta >= 2, mu >= 2")
+    _check_ints(2, eta=eta, mu=mu)
     edges = [(u, v) for u in range(eta) for v in range(u + 1, eta)]
     nxt = eta
     for c in range(eta):
@@ -167,9 +153,7 @@ def wprime_graph(eta: int, mu: int) -> Graph:
 def book_graph(k: int) -> Graph:
     """K_{1,k} box K_2: k triangular pages sharing a spine edge, each page
     closed into a quadrilateral. 2k+2 vertices, 3k+1 edges."""
-    _check_ints(k=k)
-    if k < 1:
-        raise ValueError("book needs k >= 1")
+    _check_ints(1, k=k)
     return cartesian(star_graph(k + 1), complete_graph(2))
 
 
@@ -221,10 +205,9 @@ def cartesian(g: Graph, h: Graph) -> Graph:
 
 def beta_m(tree: Graph, m: int) -> Graph:
     """Kronecker product of the tree's line graph with K_m."""
+    _check_ints(2, m=m)
     if not is_tree(tree):
         raise ValueError("beta_m needs a tree")
-    if m < 2:
-        raise ValueError("beta_m needs m >= 2")
     lg, _ = line_graph(tree)
     return kronecker(lg, complete_graph(m))
 
@@ -254,8 +237,7 @@ def enumerate_free_trees(n: int) -> list[Graph]:
     middle vertices and the key re-roots along that path alone
     (_spine_key).
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
+    _check_ints(1, n=n)
     reps: dict[str, Graph] = {}
     for seq in _leaf_rooted_level_sequences(n):
         parent = _parents(seq)

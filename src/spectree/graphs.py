@@ -41,9 +41,10 @@ class Graph:
     """Immutable simple undirected graph.
 
     adj is a symmetric boolean (n, n) ndarray with n >= 1 and a zero
-    diagonal. Construction checks this and marks adj read-only.
-    Traversals read the neighbour view, neighbors, built from adj on
-    first use.
+    diagonal. Construction checks this and keeps a read-only copy that
+    cannot be made writable again; the caller's array stays writable,
+    and later writes to it do not reach the Graph. Traversals read the
+    neighbour view, neighbors, built from adj on first use.
     """
 
     adj: np.ndarray
@@ -60,7 +61,9 @@ class Graph:
             raise ValueError("adj has a nonzero diagonal (a loop)")
         if (adj != adj.T).any():
             raise ValueError("adj is not symmetric")
-        adj.flags.writeable = False
+        # an array over immutable bytes: neither it nor its base can be
+        # made writable again
+        object.__setattr__(self, "adj", np.frombuffer(adj.tobytes(), dtype=bool).reshape(adj.shape))
 
     @property
     def n(self) -> int:
@@ -88,10 +91,7 @@ def from_edge_list(n: int, edges) -> Graph:
     n and the endpoints must be ints or numpy integers, not bools.
     Duplicate edges (either orientation) collapse; loops are rejected.
     """
-    if not _is_int(n):
-        raise ValueError(f"n must be an integer, got {n!r}")
-    if n < 1:
-        raise ValueError(f"graph needs at least one vertex, got n={n}")
+    _check_ints(1, n=n)
     adj = np.zeros((n, n), dtype=bool)
     for u, v in edges:
         # plain ints pass on the cheap type test, others need _is_int
@@ -283,6 +283,16 @@ def graph_from_dict(d: dict) -> Graph:
 
 def _is_int(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _check_ints(lo: int, **values) -> None:
+    """Each value is a size or order: an integer, not a bool, and >= lo.
+    The error names the argument."""
+    for name, v in values.items():
+        if not _is_int(v):
+            raise ValueError(f"{name} must be an integer, got {v!r}")
+        if v < lo:
+            raise ValueError(f"{name} must be >= {lo}, got {v}")
 
 
 def load_graph(path) -> Graph:

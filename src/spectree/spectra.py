@@ -17,7 +17,7 @@ import numpy as np
 
 from .eigen import Spectrum, eigensystem, eigenvalues, group_spectrum, spectra_equal
 from .families import complete_graph, kronecker, line_graph
-from .graphs import Graph, _is_int, degrees, is_bipartite, is_connected, is_tree
+from .graphs import Graph, _check_ints, degrees, is_bipartite, is_connected, is_tree
 
 __all__ = [
     "ROUTE_TOL",
@@ -38,14 +38,6 @@ __all__ = [
 ROUTE_TOL = 1e-8  # largest gap allowed between the direct and decomposed routes
 
 
-def _check_m(m) -> None:
-    """m is the order of the K_m factor: an integer, not a bool, and >= 2."""
-    if not _is_int(m):
-        raise ValueError(f"m must be an integer, got {m!r}")
-    if m < 2:
-        raise ValueError(f"m must be >= 2, got {m}")
-
-
 def adjacency_matrix(g: Graph) -> np.ndarray:
     return g.adj.astype(np.float64)
 
@@ -57,13 +49,13 @@ def laplacian(g: Graph) -> np.ndarray:
 
 def q_matrix(g: Graph, m: int) -> np.ndarray:
     """Q_{m-1}(g) = A(g) + (m-1) D(g); m=2 gives the signless Laplacian."""
-    _check_m(m)
+    _check_ints(2, m=m)
     return adjacency_matrix(g) + (m - 1) * np.diag(degrees(g).astype(np.float64))
 
 
 def product_laplacian_spectrum_direct(g: Graph, m: int) -> Spectrum:
     """Assemble g x K_m explicitly and eigensolve its Laplacian."""
-    _check_m(m)
+    _check_ints(2, m=m)
     prod = kronecker(g, complete_graph(m))
     return group_spectrum(eigenvalues(laplacian(prod)))
 
@@ -71,7 +63,7 @@ def product_laplacian_spectrum_direct(g: Graph, m: int) -> Spectrum:
 def product_laplacian_spectrum_decomposed(g: Graph, m: int) -> Spectrum:
     """Union of (m-1)*Lap(g) (weight 1) and Q_{m-1}(g) (weight m-1),
     grouped once."""
-    _check_m(m)
+    _check_ints(2, m=m)
     lap_part = (m - 1) * eigenvalues(laplacian(g))
     q_part = np.repeat(eigenvalues(q_matrix(g, m)), m - 1)
     return group_spectrum(np.sort(np.concatenate([lap_part, q_part])))
@@ -113,7 +105,7 @@ def q_min(g: Graph, m: int) -> float:
 def product_connected(g: Graph, m: int) -> bool:
     """g x K_m is connected iff g is connected and at least one factor is
     non-bipartite; K_m is non-bipartite exactly when m >= 3."""
-    _check_m(m)
+    _check_ints(2, m=m)
     return is_connected(g) and (m >= 3 or not is_bipartite(g))
 
 
@@ -124,7 +116,7 @@ def a_beta_m(tree: Graph, m: int) -> float:
     decomposition, then cross-checked against the second-smallest eigenvalue
     of the explicitly assembled product Laplacian (ROUTE_TOL).
     """
-    _check_m(m)
+    _check_ints(2, m=m)
     lg = _tree_line_graph(tree)
     return _a_beta(lg, algebraic_connectivity(lg), m)
 
@@ -159,7 +151,7 @@ def eigvec_lift_check(g: Graph, m: int) -> bool:
     lifted vector has residual norm <= ROUTE_TOL against the product
     Laplacian.
     """
-    _check_m(m)
+    _check_ints(2, m=m)
     n = g.n
     prod_lap = laplacian(kronecker(g, complete_graph(m)))
     lvals, lvecs = eigensystem(laplacian(g))

@@ -41,6 +41,7 @@ from .families import (
 )
 from .graphs import (
     Graph,
+    _check_ints,
     _is_int,
     block_decomposition,
     block_structure_is_star,
@@ -247,10 +248,9 @@ def check_theorem_21(max_n: int = 8, ms: tuple[int, ...] = (2, 3)) -> list[Verif
     the characterization and are checked against their own closed values.
     Each tree's line graph, a(L) and class are computed once for all m.
     """
-    if any(m < 2 for m in ms):
-        raise ValueError("needs m >= 2")
-    if max_n < 3:
-        raise ValueError("needs max_n >= 3")
+    _check_ints(3, max_n=max_n)
+    for m in ms:
+        _check_ints(2, m=m)
     out: list[list[CheckInstance]] = [[] for _ in ms]
     for n in range(3, max_n + 1):
         for idx, tree in enumerate(enumerate_free_trees(n)):

@@ -136,9 +136,15 @@ def test_malformed_graph_file_is_usage_error(capsys, tmp_path, doc):
 
 
 def test_bad_family(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["aconn", "--family", "tkst:1"])
-    assert exc.value.code == 2
+    for family, problem in (
+        ("tkst:1", "tkst takes 3 parameter(s)"),
+        ("windmill:3,x", "bad family descriptor 'windmill:3,x': parameters must be integers"),
+        ("windmill:2.5,3", "bad family descriptor 'windmill:2.5,3': parameters must be integers"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(["aconn", "--family", family])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.rstrip().endswith(f"error: {problem}")
 
 
 def test_unallocatable_graph_is_usage_error(capsys, tmp_path):

@@ -1,9 +1,24 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
 
 from spectree import families
+from spectree.closedform import (
+    book_aconn_bound,
+    book_line_laplacian_spectrum,
+    integrality_cubic,
+    is_beta_laplacian_integral,
+    star_product_spectrum,
+    t1st_line_laplacian_spectrum,
+    t1st_q_spectrum_m2,
+    windmill_product_spectrum,
+    windmill_q_quadratic,
+    wprime_algebraic_connectivity,
+    wprime_product_spectrum,
+    wprime_quadratics,
+)
 from spectree.families import (
     FamilyDescriptor,
     beta_m,
@@ -24,6 +39,7 @@ from spectree.families import (
     wprime_graph,
 )
 from spectree.graphs import (
+    Graph,
     degrees,
     edge_list,
     from_edge_list,
@@ -31,6 +47,17 @@ from spectree.graphs import (
     is_star,
     is_tree,
 )
+from spectree.spectra import (
+    a_beta_m,
+    eigvec_lift_check,
+    product_connected,
+    product_laplacian_spectrum_decomposed,
+    product_laplacian_spectrum_direct,
+    product_spectrum,
+    q_matrix,
+    q_min,
+)
+from spectree.verify import check_theorem_21
 
 from _oracles import (
     cartesian_adjacency_oracle,
@@ -115,31 +142,75 @@ def test_book_is_stacked_triangle_pages():
     np.testing.assert_array_equal(b.adj, oracle)
 
 
-# a valid parameter tuple and the argument names for every family kind
-_GOOD_PARAMS = {
-    "path": ((4,), ("n",)),
-    "star": ((4,), ("n",)),
-    "complete": ((4,), ("n",)),
-    "tkst": ((1, 2, 2), ("k", "s", "t")),
-    "diam4": ((3, 2, 2, 1), ("k", r"xs\[0\]", r"xs\[1\]", r"xs\[2\]")),
-    "windmill": ((2, 3), ("eta", "mu")),
-    "wprime": ((3, 2), ("eta", "mu")),
-    "book": ((3,), ("k",)),
+_TREE = tkst_tree(1, 2, 2)
+_P4 = path_graph(4)
+
+# every function with an integer parameter: the function, valid arguments,
+# and (name, floor) for each integer argument, None for any other; the
+# family constructors are keyed by their descriptor kind
+_INT_PARAMS = {
+    "path": (path_graph, (4,), (("n", 1),)),
+    "star": (star_graph, (4,), (("n", 2),)),
+    "complete": (complete_graph, (4,), (("n", 1),)),
+    "tkst": (tkst_tree, (1, 2, 2), (("k", 1), ("s", 0), ("t", 0))),
+    "diam4": (families._FAMILIES["diam4"][0], (3, 2, 2, 1), (("k", 2), ("xs[0]", 0), ("xs[1]", 0), ("xs[2]", 0))),
+    "windmill": (windmill_graph, (2, 3), (("eta", 2), ("mu", 3))),
+    "wprime": (wprime_graph, (3, 2), (("eta", 2), ("mu", 2))),
+    "book": (book_graph, (3,), (("k", 1),)),
+    "from_edge_list": (from_edge_list, (3, [(0, 1)]), (("n", 1), None)),
+    "enumerate_free_trees": (enumerate_free_trees, (6,), (("n", 1),)),
+    "beta_m": (beta_m, (_TREE, 3), (None, ("m", 2))),
+    "q_matrix": (q_matrix, (_P4, 3), (None, ("m", 2))),
+    "q_min": (q_min, (_P4, 3), (None, ("m", 2))),
+    "product_laplacian_spectrum_direct": (product_laplacian_spectrum_direct, (_P4, 3), (None, ("m", 2))),
+    "product_laplacian_spectrum_decomposed": (product_laplacian_spectrum_decomposed, (_P4, 3), (None, ("m", 2))),
+    "product_spectrum": (product_spectrum, (_P4, 3), (None, ("m", 2))),
+    "product_connected": (product_connected, (_P4, 3), (None, ("m", 2))),
+    "a_beta_m": (a_beta_m, (_TREE, 3), (None, ("m", 2))),
+    "eigvec_lift_check": (eigvec_lift_check, (_P4, 3), (None, ("m", 2))),
+    "star_product_spectrum": (star_product_spectrum, (4, 3), (("n", 3), ("m", 2))),
+    "t1st_q_spectrum_m2": (t1st_q_spectrum_m2, (2, 3), (("s", 1), ("t", 1))),
+    "t1st_line_laplacian_spectrum": (t1st_line_laplacian_spectrum, (2, 3), (("s", 1), ("t", 1))),
+    "integrality_cubic": (integrality_cubic, (2, 3, 3), (("s", 1), ("t", 1), ("m", 2))),
+    "is_beta_laplacian_integral": (is_beta_laplacian_integral, (2, 2, 3), (("s", 1), ("t", 1), ("m", 2))),
+    "windmill_product_spectrum": (windmill_product_spectrum, (2, 3, 3), (("eta", 2), ("mu", 3), ("m", 2))),
+    "windmill_q_quadratic": (windmill_q_quadratic, (2, 3, 3), (("eta", 2), ("mu", 3), ("m", 2))),
+    "wprime_quadratics": (wprime_quadratics, (3, 2, 3), (("eta", 2), ("mu", 2), ("m", 2))),
+    "wprime_product_spectrum": (wprime_product_spectrum, (3, 2, 3), (("eta", 2), ("mu", 2), ("m", 2))),
+    "wprime_algebraic_connectivity": (wprime_algebraic_connectivity, (3, 4, 3), (("eta", 3), ("mu", 3), ("m", 2))),
+    "book_line_laplacian_spectrum": (book_line_laplacian_spectrum, (3,), (("k", 1),)),
+    "book_aconn_bound": (book_aconn_bound, (3, 3), (("k", 2), ("m", 2))),
+    # each entry of ms on its own
+    "check_theorem_21": (lambda max_n, m0, m1: check_theorem_21(max_n, (m0, m1)), (4, 2, 3), (("max_n", 3), ("m", 2), ("m", 2))),
 }
 
 
-@pytest.mark.parametrize("kind", sorted(families._FAMILIES))
+def _same(a, b) -> bool:
+    if isinstance(a, Graph):
+        return np.array_equal(a.adj, b.adj)
+    if isinstance(a, np.ndarray):
+        return np.array_equal(a, b)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(_same, a, b))
+    return a == b
+
+
+@pytest.mark.parametrize("kind", sorted(_INT_PARAMS))
 def test_constructors_name_a_non_integer_size(kind):
-    params, names = _GOOD_PARAMS[kind]
-    ctor = families._FAMILIES[kind][0]
-    assert ctor(*params).n >= 1
-    for i, name in enumerate(names):
-        for bad in (float(params[i]), True, str(params[i])):
-            args = params[:i] + (bad,) + params[i + 1:]
-            with pytest.raises(ValueError, match=f"^{name} must be an integer, got {bad!r}$"):
-                ctor(*args)
-    # numpy integers are sizes too
-    assert ctor(*map(np.int64, params)).n == ctor(*params).n
+    # one rule for every size or order: a float, a bool or a string is not
+    # an integer, one below the floor is too small, and each error names
+    # the argument; numpy integers are sizes too
+    fn, params, rules = _INT_PARAMS[kind]
+    want = fn(*params)
+    for i, rule in enumerate(rules):
+        if rule is None:
+            continue
+        name, lo = rule
+        cases = [(bad, f"must be an integer, got {bad!r}") for bad in (float(params[i]), True, str(params[i]))]
+        for bad, problem in cases + [(lo - 1, f"must be >= {lo}, got {lo - 1}")]:
+            with pytest.raises(ValueError, match=f"^{re.escape(f'{name} {problem}')}$"):
+                fn(*params[:i], bad, *params[i + 1:])
+    assert _same(fn(*(p if r is None else np.int64(p) for p, r in zip(params, rules))), want)
 
 
 def test_complete_graph_is_shared_and_read_only():
@@ -149,6 +220,9 @@ def test_complete_graph_is_shared_and_read_only():
     assert not k3.adj.flags.writeable
     with pytest.raises(ValueError):
         k3.adj[0, 1] = False
+    with pytest.raises(ValueError):
+        k3.adj.flags.writeable = True
+    assert complete_graph(3).edge_count == 3
 
 
 def test_complete_graph_checks_n_before_the_cache():
@@ -171,6 +245,10 @@ def test_parse_format_round_trip():
 def test_parse_family_errors():
     for bad in ("nope:3", "path", "path:x", "tkst:1,2", "diam4:3;2", "diam4:a;1,1", ""):
         with pytest.raises(ValueError):
+            parse_family(bad)
+    # a parameter that is not an integer literal is named as such
+    for bad in ("path:x", "windmill:2.5,3", "tkst:1,,2", "diam4:a;1,1", "diam4:3;2,b,1", "diam4:2,1;1"):
+        with pytest.raises(ValueError, match=f"^bad family descriptor {re.escape(repr(bad))}: parameters must be integers$"):
             parse_family(bad)
 
 

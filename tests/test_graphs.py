@@ -81,9 +81,22 @@ def test_from_edge_list_takes_numpy_integers():
 
 
 def test_adjacency_is_read_only():
-    g = from_edge_list(3, [(0, 1)])
-    with pytest.raises(ValueError):
-        g.adj[0, 2] = True
+    # a shared K_n, a product built from a reshaped temporary, and a graph
+    # from an edge list all hold a read-only copy
+    for g in (complete_graph(3), kronecker(path_graph(3), complete_graph(3)), from_edge_list(3, [(0, 1)])):
+        with pytest.raises(ValueError):
+            g.adj[0, 2] = not g.adj[0, 2]
+        arr = g.adj  # neither adj nor any array it views can be switched back
+        while isinstance(arr, np.ndarray):
+            with pytest.raises(ValueError):
+                arr.flags.writeable = True
+            arr = arr.base
+    assert complete_graph(3).edge_count == 3
+    # the caller's array stays writable, and writing to it leaves the Graph as built
+    adj = np.zeros((2, 2), dtype=bool)
+    g = Graph(adj)
+    adj[0, 1] = adj[1, 0] = True
+    assert g.edge_count == 0
 
 
 def test_graph_rejects_invalid_adjacency():
@@ -121,7 +134,7 @@ def test_graph_rejects_bad_vertex_count_and_labels():
     with pytest.raises(ValueError, match="at least one vertex, got n=0"):
         Graph(np.zeros((0, 0), dtype=bool))
     for n in (0, -1):
-        with pytest.raises(ValueError, match=f"at least one vertex, got n={n}"):
+        with pytest.raises(ValueError, match=f"^n must be >= 1, got {n}$"):
             from_edge_list(n, [])
     # vertices carry no labels: a line graph's edge_map says which edge is which
     with pytest.raises(TypeError):

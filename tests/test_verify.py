@@ -204,14 +204,14 @@ def test_scalar_instance_deviation_text_and_tol():
 
 
 def test_thm_21_needs_a_nonempty_sweep():
-    with pytest.raises(ValueError, match="max_n >= 3"):
+    with pytest.raises(ValueError, match="^max_n must be >= 3, got 2$"):
         check_theorem_21(2)
-    with pytest.raises(ValueError, match="max_n >= 3"):
+    with pytest.raises(ValueError, match="^max_n must be >= 3, got 2$"):
         run_claim("thm-2.1", max_n=2)
-    for ms in ((1,), (2, 1), (0, 3)):
-        with pytest.raises(ValueError, match="m >= 2"):
+    for ms, bad in (((1,), 1), ((2, 1), 1), ((0, 3), 0)):
+        with pytest.raises(ValueError, match=f"^m must be >= 2, got {bad}$"):
             check_theorem_21(5, ms)
-    with pytest.raises(ValueError, match="m >= 2"):
+    with pytest.raises(ValueError, match="^m must be >= 2, got 1$"):
         run_claim("thm-2.1", m=1)
 
 
