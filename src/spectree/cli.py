@@ -13,9 +13,11 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from .eigen import eigenvalues, group_spectrum, spectrum_to_dict
 from .families import build, enumerate_free_trees, line_graph, parse_family, tkst_tree
-from .graphs import Graph, edge_list, is_tree, load_graph
+from .graphs import Graph, is_tree, load_graph
 from .spectra import (
     a_beta_m,
     adjacency_matrix,
@@ -148,19 +150,19 @@ def _cmd_enumerate(parser, args) -> int:
     if args.n < 1:
         parser.error("--n must be >= 1")
     trees = enumerate_free_trees(args.n)
+    # every tree has n - 1 edges, so the nonzeros of the stacked upper
+    # triangles, in row-major order, are each tree's sorted edge list
+    _, u, v = np.nonzero(np.triu(np.stack([t.adj for t in trees]), 1))
+    edges = np.stack((u, v), axis=1).reshape(len(trees), args.n - 1, 2).tolist()
     if args.format == "json":
-        print(
-            json.dumps(
-                {"n": args.n, "count": len(trees), "trees": [edge_list(t) for t in trees]}
-            )
-        )
+        print(json.dumps({"n": args.n, "count": len(trees), "trees": edges}))
     elif args.format == "csv":
         print("index,edges")
-        for i, t in enumerate(trees):
-            print(f"{i}," + " ".join(f"{u}-{v}" for u, v in edge_list(t)))
+        for i, es in enumerate(edges):
+            print(f"{i}," + " ".join(f"{u}-{v}" for u, v in es))
     else:
-        for t in trees:
-            print(json.dumps(edge_list(t)))
+        for es in edges:
+            print(json.dumps(es))
     return 0
 
 

@@ -100,6 +100,11 @@ class CubicCoeffs:
     t: int
     m: int
 
+    def __post_init__(self):
+        _check_ints(None, a=self.a, b=self.b, c=self.c)
+        _check_ints(1, s=self.s, t=self.t)
+        _check_ints(2, m=self.m)
+
     def roots(self) -> tuple[float, float, float]:
         """Numeric roots, ascending: eigenvalues of the symmetrized 3x3
         quotient of Q_{m-1} on {shared vertex, s-clique, t-clique}."""
@@ -157,6 +162,7 @@ def integer_roots_of_monic_cubic(a: int, b: int, c: int) -> tuple[int, int, int]
     dividing the constant term; deflate and demand a perfect-square
     discriminant with matching parity for the remaining quadratic.
     """
+    _check_ints(None, a=a, b=b, c=c)
 
     def poly(x: int) -> int:
         return x * x * x - a * x * x + b * x - c

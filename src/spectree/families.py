@@ -217,10 +217,13 @@ def beta_m(tree: Graph, m: int) -> Graph:
 def enumerate_free_trees(n: int) -> list[Graph]:
     """All unlabeled trees on n vertices, one representative each.
 
-    Rooted trees are generated by the level-sequence successor rule and
-    reduced to free trees by their center-rooted canonical encoding; a
-    Graph is built only for the first tree of each new encoding.
-    Deterministic: output is sorted by that encoding.
+    Rooted trees are generated by the level-sequence successor rule, which
+    hands over each tree's parent array with its sequence, and reduced to
+    free trees by their center-rooted canonical encoding: a dict maps each
+    new encoding to the parent array of its first tree. All
+    representatives are then built at once, from one (count, n, n)
+    adjacency array filled from those parent arrays. Deterministic: output
+    is sorted by the encoding.
 
     Only sequences that can come first for their free tree are generated
     and keyed, which keeps every representative and the order unchanged:
@@ -238,53 +241,47 @@ def enumerate_free_trees(n: int) -> list[Graph]:
     (_spine_key).
     """
     _check_ints(1, n=n)
-    reps: dict[str, Graph] = {}
-    for seq in _leaf_rooted_level_sequences(n):
-        parent = _parents(seq)
+    reps: dict[str, list[int]] = {}
+    for seq, parent in _leaf_rooted_level_sequences(n):
         key = _spine_key(parent, max(seq))
         if key is not None and key not in reps:
-            reps[key] = from_edge_list(n, [(parent[v], v) for v in range(1, n)])
-    return [reps[k] for k in sorted(reps)]
+            reps[key] = parent[:]
+    parents = np.array([reps[k] for k in sorted(reps)])
+    # in tree i, vertex v >= 1 is joined to up[i, v - 1]
+    tree, child, up = np.arange(len(parents))[:, None], np.arange(1, n), parents[:, 1:]
+    adj = np.zeros((len(parents), n, n), dtype=bool)
+    adj[tree, up, child] = adj[tree, child, up] = True
+    return [Graph(a) for a in adj]
 
 
-def _rooted_level_sequences(n: int):
-    """Canonical level sequences of all rooted trees on n vertices, in
-    decreasing lexicographic order (path first, star last)."""
+def _leaf_rooted_level_sequences(n: int):
+    """(seq, parent) for the canonical level sequences on n vertices whose
+    root has one child, in decreasing lexicographic order (path first);
+    parent[v] is the last vertex before v one level up, -1 for the root.
+    Both lists are updated in place between yields.
+
+    The root sits above a rooted tree on n - 1 vertices, so this is the
+    successor rule on those trees, run one level lower: the last vertex
+    above level 2 moves up to its parent's level and the block from that
+    parent on repeats to the end."""
     seq = list(range(n))
+    parent = list(range(-1, n - 1))
     while True:
-        yield seq
+        yield seq, parent
         p = n - 1
-        while p > 0 and seq[p] < 2:
+        while p > 1 and seq[p] < 3:
             p -= 1
-        if p == 0:
+        if p <= 1:
             return
         q = p - 1
         while seq[q] != seq[p] - 1:
             q -= 1
-        seq = seq[:p]
-        while len(seq) < n:
-            seq.append(seq[-(p - q)])
-
-
-def _leaf_rooted_level_sequences(n: int):
-    """The rooted sequences on n vertices whose root has one child, in the
-    order _rooted_level_sequences(n) emits them: the root above each
-    rooted tree on n - 1 vertices."""
-    if n == 1:
-        yield [0]
-        return
-    for seq in _rooted_level_sequences(n - 1):
-        yield [0] + [x + 1 for x in seq]
-
-
-def _parents(seq) -> list[int]:
-    # a vertex's parent is the last earlier vertex one level up
-    parent = [-1] * len(seq)
-    last = [0] * len(seq)  # last vertex seen at each level
-    for v in range(1, len(seq)):
-        parent[v] = last[seq[v] - 1]
-        last[seq[v]] = v
-    return parent
+        # vertex j >= p copies j - d: a copy of q is a sibling of q, any
+        # other vertex hangs d below its original's parent
+        d, level, up = p - q, seq[q], parent[q]
+        for j in range(p, n):
+            seq[j] = lv = seq[j - d]
+            parent[j] = parent[j - d] + d if lv > level else up
 
 
 def _spine_key(parent, h: int) -> str | None:
@@ -303,7 +300,8 @@ def _spine_key(parent, h: int) -> str | None:
     c = h // 2
     kids: list[list[str]] = [[] for _ in range(n)]
     for v in range(n - 1, c, -1):
-        kids[parent[v]].append("(" + "".join(sorted(kids[v])) + ")")
+        below = kids[v]
+        kids[parent[v]].append("(" + "".join(sorted(below)) + ")" if below else "()")
     # path vertices k < c hold only their off-path children; re-root
     # along the path, carrying the encoding of the part above k + 1
     up: list[str] = []

@@ -285,13 +285,13 @@ def _is_int(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
-def _check_ints(lo: int, **values) -> None:
-    """Each value is a size or order: an integer, not a bool, and >= lo.
-    The error names the argument."""
+def _check_ints(lo: int | None, **values) -> None:
+    """Each value is a size or order: an integer, not a bool, and >= lo;
+    lo None admits any integer. The error names the argument."""
     for name, v in values.items():
         if not _is_int(v):
             raise ValueError(f"{name} must be an integer, got {v!r}")
-        if v < lo:
+        if lo is not None and v < lo:
             raise ValueError(f"{name} must be >= {lo}, got {v}")
 
 

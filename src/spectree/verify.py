@@ -249,6 +249,8 @@ def check_theorem_21(max_n: int = 8, ms: tuple[int, ...] = (2, 3)) -> list[Verif
     Each tree's line graph, a(L) and class are computed once for all m.
     """
     _check_ints(3, max_n=max_n)
+    if not ms:
+        raise ValueError(f"ms must hold at least one m, got {ms!r}")
     for m in ms:
         _check_ints(2, m=m)
     out: list[list[CheckInstance]] = [[] for _ in ms]

@@ -5,7 +5,9 @@ come from Prufer sequences, line graphs from the textbook definition,
 blocks from a recursive lowpoint DFS, component counts from a
 union-find, bipartiteness from trying every 2-colouring, tree centers
 from eccentricities, enumeration representatives from the largest level
-sequence over all roots, eigenvalues from a cyclic Jacobi iteration
+sequence over all roots, the enumeration's level sequences and parent
+arrays from the unfused successor rule and a separate parent walk,
+eigenvalues from a cyclic Jacobi iteration
 rather than the LAPACK routine the package calls, and eigenvalue grouping
 from the package's first merge loop, kept here as written.
 """
@@ -90,6 +92,37 @@ def representative_oracle(tree: Graph) -> list[tuple[int, int]]:
     seq = max(levels(r, -1, 0) for r in range(tree.n))
     edges = [(max(j for j in range(i) if seq[j] == seq[i] - 1), i) for i in range(1, tree.n)]
     return sorted(edges)
+
+
+def leaf_rooted_sequences_oracle(n: int):
+    """(seq, parent) for each canonical level sequence on n vertices whose
+    root has one child, in the enumeration's order, found another way: the
+    successor rule run on rooted trees with n - 1 vertices, each sequence
+    shifted one level down under a new root, and each vertex's parent
+    found by a fresh walk as the last earlier vertex one level up."""
+    if n == 1:
+        yield [0], [-1]
+        return
+    seq = list(range(n - 1))
+    while True:
+        shifted = [0] + [x + 1 for x in seq]
+        parent = [-1] * n
+        last = [0] * n  # last vertex seen at each level
+        for v in range(1, n):
+            parent[v] = last[shifted[v] - 1]
+            last[shifted[v]] = v
+        yield shifted, parent
+        p = n - 2
+        while p > 0 and seq[p] < 2:
+            p -= 1
+        if p == 0:
+            return
+        q = p - 1
+        while seq[q] != seq[p] - 1:
+            q -= 1
+        seq = seq[:p]
+        while len(seq) < n - 1:
+            seq.append(seq[-(p - q)])
 
 
 def line_graph_oracle(g: Graph) -> Graph:

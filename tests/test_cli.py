@@ -201,6 +201,21 @@ def test_enumerate_json_golden(capsys, n):
     assert hashlib.sha256(out.encode()).hexdigest() == _ENUMERATE_JSON_SHA256[n]
 
 
+# the same for the other two formats at n = 10, which read the same edge
+# lists as json
+_ENUMERATE_N10_SHA256 = {
+    "csv": "f8d427a7cd4801b77b0fc15d65262ffdb4cf077d7f9a01778bef881ee532dffe",
+    "text": "ffbbf8cf9aae78cae02b635d5a7a52de4ac923268d3a29d54c6377010223cccf",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(_ENUMERATE_N10_SHA256))
+def test_enumerate_csv_and_text_golden(capsys, fmt):
+    code, out, _ = _run(capsys, ["enumerate", "--n", "10", "--format", fmt])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _ENUMERATE_N10_SHA256[fmt]
+
+
 def test_export_stdout_and_file(capsys, tmp_path):
     code, out, _ = _run(
         capsys,

@@ -6,8 +6,10 @@ import pytest
 
 from spectree import families
 from spectree.closedform import (
+    CubicCoeffs,
     book_aconn_bound,
     book_line_laplacian_spectrum,
+    integer_roots_of_monic_cubic,
     integrality_cubic,
     is_beta_laplacian_integral,
     star_product_spectrum,
@@ -62,6 +64,7 @@ from spectree.verify import check_theorem_21
 from _oracles import (
     cartesian_adjacency_oracle,
     kron_adjacency_oracle,
+    leaf_rooted_sequences_oracle,
     line_graph_oracle,
     prufer_to_tree,
     random_prufer_tree,
@@ -146,8 +149,9 @@ _TREE = tkst_tree(1, 2, 2)
 _P4 = path_graph(4)
 
 # every function with an integer parameter: the function, valid arguments,
-# and (name, floor) for each integer argument, None for any other; the
-# family constructors are keyed by their descriptor kind
+# and (name, floor) for each integer argument, None for any other; a floor
+# of None admits any integer; the family constructors are keyed by their
+# descriptor kind
 _INT_PARAMS = {
     "path": (path_graph, (4,), (("n", 1),)),
     "star": (star_graph, (4,), (("n", 2),)),
@@ -171,6 +175,8 @@ _INT_PARAMS = {
     "star_product_spectrum": (star_product_spectrum, (4, 3), (("n", 3), ("m", 2))),
     "t1st_q_spectrum_m2": (t1st_q_spectrum_m2, (2, 3), (("s", 1), ("t", 1))),
     "t1st_line_laplacian_spectrum": (t1st_line_laplacian_spectrum, (2, 3), (("s", 1), ("t", 1))),
+    "CubicCoeffs": (CubicCoeffs, (6, 11, 6, 2, 3, 3), (("a", None), ("b", None), ("c", None), ("s", 1), ("t", 1), ("m", 2))),
+    "integer_roots_of_monic_cubic": (integer_roots_of_monic_cubic, (6, 11, 6), (("a", None), ("b", None), ("c", None))),
     "integrality_cubic": (integrality_cubic, (2, 3, 3), (("s", 1), ("t", 1), ("m", 2))),
     "is_beta_laplacian_integral": (is_beta_laplacian_integral, (2, 2, 3), (("s", 1), ("t", 1), ("m", 2))),
     "windmill_product_spectrum": (windmill_product_spectrum, (2, 3, 3), (("eta", 2), ("mu", 3), ("m", 2))),
@@ -207,7 +213,9 @@ def test_constructors_name_a_non_integer_size(kind):
             continue
         name, lo = rule
         cases = [(bad, f"must be an integer, got {bad!r}") for bad in (float(params[i]), True, str(params[i]))]
-        for bad, problem in cases + [(lo - 1, f"must be >= {lo}, got {lo - 1}")]:
+        if lo is not None:
+            cases.append((lo - 1, f"must be >= {lo}, got {lo - 1}"))
+        for bad, problem in cases:
             with pytest.raises(ValueError, match=f"^{re.escape(f'{name} {problem}')}$"):
                 fn(*params[:i], bad, *params[i + 1:])
     assert _same(fn(*(p if r is None else np.int64(p) for p, r in zip(params, rules))), want)
@@ -369,6 +377,15 @@ def test_canonical_form_is_isomorphism_invariant():
             base = tree_canonical_form(tree)
             for _ in range(5):
                 assert tree_canonical_form(_relabel(rng, tree)) == base
+
+
+def test_leaf_rooted_sequences_match_the_unfused_rule():
+    # the generator updates its lists in place, so copy each pair it yields
+    for n in range(1, 13):
+        got = [(seq[:], parent[:]) for seq, parent in families._leaf_rooted_level_sequences(n)]
+        assert got == list(leaf_rooted_sequences_oracle(n)), n
+        # rooted trees on n - 1 vertices (OEIS A000081)
+        assert len(got) == (1, 1, 1, 2, 4, 9, 20, 48, 115, 286, 719, 1842)[n - 1]
 
 
 def test_canonical_form_matches_enumeration_keys(monkeypatch):

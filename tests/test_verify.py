@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -208,8 +209,13 @@ def test_thm_21_needs_a_nonempty_sweep():
         check_theorem_21(2)
     with pytest.raises(ValueError, match="^max_n must be >= 3, got 2$"):
         run_claim("thm-2.1", max_n=2)
-    for ms, bad in (((1,), 1), ((2, 1), 1), ((0, 3), 0)):
-        with pytest.raises(ValueError, match=f"^m must be >= 2, got {bad}$"):
+    for ms, problem in (
+        ((1,), "m must be >= 2, got 1"),
+        ((2, 1), "m must be >= 2, got 1"),
+        ((0, 3), "m must be >= 2, got 0"),
+        ((), "ms must hold at least one m, got ()"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(problem)}$"):
             check_theorem_21(5, ms)
     with pytest.raises(ValueError, match="^m must be >= 2, got 1$"):
         run_claim("thm-2.1", m=1)
