@@ -146,24 +146,42 @@ def _cmd_table2(parser, args) -> int:
     return 0 if report.ok else 1
 
 
+# trees whose edge lists are built and written at once by enumerate; every
+# n <= 13 (1,301 trees) fits in one chunk
+_ENUM_CHUNK = 2048
+
+
 def _cmd_enumerate(parser, args) -> int:
     if args.n < 1:
         parser.error("--n must be >= 1")
     trees = enumerate_free_trees(args.n)
+    out = sys.stdout
+    if args.format == "json":
+        out.write(f'{{"n": {args.n}, "count": {len(trees)}, "trees": [')
+    elif args.format == "csv":
+        out.write("index,edges\n")
+    for lo in range(0, len(trees), _ENUM_CHUNK):
+        edges = _edge_lists(trees[lo:lo + _ENUM_CHUNK], args.n)
+        if args.format == "json":
+            # the chunk's trees, written as items of the one "trees" list
+            out.write((", " if lo else "") + json.dumps(edges)[1:-1])
+        elif args.format == "csv":
+            for i, es in enumerate(edges, start=lo):
+                out.write(f"{i}," + " ".join(f"{u}-{v}" for u, v in es) + "\n")
+        else:
+            for es in edges:
+                out.write(json.dumps(es) + "\n")
+    if args.format == "json":
+        out.write("]}\n")
+    return 0
+
+
+def _edge_lists(trees, n: int) -> list:
+    """Each tree's sorted edge list, as lists of [u, v] lists."""
     # every tree has n - 1 edges, so the nonzeros of the stacked upper
     # triangles, in row-major order, are each tree's sorted edge list
     _, u, v = np.nonzero(np.triu(np.stack([t.adj for t in trees]), 1))
-    edges = np.stack((u, v), axis=1).reshape(len(trees), args.n - 1, 2).tolist()
-    if args.format == "json":
-        print(json.dumps({"n": args.n, "count": len(trees), "trees": edges}))
-    elif args.format == "csv":
-        print("index,edges")
-        for i, es in enumerate(edges):
-            print(f"{i}," + " ".join(f"{u}-{v}" for u, v in es))
-    else:
-        for es in edges:
-            print(json.dumps(es))
-    return 0
+    return np.stack((u, v), axis=1).reshape(len(trees), n - 1, 2).tolist()
 
 
 def _parse_range(parser, text: str, lo_min: int, what: str) -> range:

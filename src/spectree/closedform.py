@@ -91,7 +91,8 @@ def t1st_line_laplacian_spectrum(s: int, t: int) -> Spectrum:
 @dataclass(frozen=True)
 class CubicCoeffs:
     """Monic cubic x^3 - a x^2 + b x - c carrying the non-fixed part of the
-    Q_{m-1}(L(T(1,s,t))) spectrum; coefficients are exact integers."""
+    Q_{m-1}(L(T(1,s,t))) spectrum; coefficients are exact integers, and
+    must be the cubic of s, t and m."""
 
     a: int
     b: int
@@ -104,6 +105,11 @@ class CubicCoeffs:
         _check_ints(None, a=self.a, b=self.b, c=self.c)
         _check_ints(1, s=self.s, t=self.t)
         _check_ints(2, m=self.m)
+        for name, got, want in zip("abc", (self.a, self.b, self.c), _cubic(self.s, self.t, self.m)):
+            if got != want:
+                raise ValueError(
+                    f"{name} must be {want} for s={self.s}, t={self.t}, m={self.m}, got {got}"
+                )
 
     def roots(self) -> tuple[float, float, float]:
         """Numeric roots, ascending: eigenvalues of the symmetrized 3x3
@@ -123,11 +129,8 @@ class CubicCoeffs:
         return integer_roots_of_monic_cubic(self.a, self.b, self.c)
 
 
-def integrality_cubic(s: int, t: int, m: int) -> CubicCoeffs:
-    """The cubic factor deciding whether Lap(L(T(1,s,t)) x K_m) is integral
-    (all other eigenvalues of that product are integers automatically)."""
-    _check_ints(1, s=s, t=t)
-    _check_ints(2, m=m)
+def _cubic(s: int, t: int, m: int) -> tuple[int, int, int]:
+    # (a, b, c) of the cubic; s, t and m are checked integers
     a = (2 * m - 1) * (s + t) - 2
     b = (
         m * (m - 1) * (s * s + t * t)
@@ -141,7 +144,15 @@ def integrality_cubic(s: int, t: int, m: int) -> CubicCoeffs:
         - 2 * m * m * s * t
         + m * m * (m - 1) * (s * s * t + s * t * t)
     )
-    return CubicCoeffs(a=a, b=b, c=c, s=s, t=t, m=m)
+    return a, b, c
+
+
+def integrality_cubic(s: int, t: int, m: int) -> CubicCoeffs:
+    """The cubic factor deciding whether Lap(L(T(1,s,t)) x K_m) is integral
+    (all other eigenvalues of that product are integers automatically)."""
+    _check_ints(1, s=s, t=t)
+    _check_ints(2, m=m)
+    return CubicCoeffs(*_cubic(s, t, m), s=s, t=t, m=m)
 
 
 def _divisors(n: int) -> list[int]:

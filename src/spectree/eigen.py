@@ -40,23 +40,39 @@ INT_TOL = 1e-6    # threshold for calling a float an integer
 
 
 def _checked(mat) -> np.ndarray:
+    """mat as a float64 array, a square matrix or a stack (..., k, k) of
+    them, after checking that every slice is finite and exactly
+    symmetric; an error names the first slice that is not."""
     a = np.array(mat, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("need a square matrix")
-    if not np.isfinite(a).all():
-        raise ValueError("matrix has non-finite entries")
-    if not np.array_equal(a, a.T):
-        raise ValueError("matrix is not symmetric")
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError("need a square matrix or a stack of them")
+    finite = np.isfinite(a)
+    if not finite.all():
+        raise ValueError(f"{_first(~finite)} has non-finite entries")
+    asym = a != np.swapaxes(a, -1, -2)
+    if asym.any():
+        raise ValueError(f"{_first(asym)} is not symmetric")
     return a
 
 
+def _first(bad: np.ndarray) -> str:
+    # the first slice holding a True entry of bad
+    if bad.ndim == 2:
+        return "matrix"
+    idx = np.argwhere(bad.any(axis=(-2, -1)))[0]
+    return f"matrix {', '.join(map(str, idx.tolist()))} of the stack"
+
+
 def eigenvalues(m) -> np.ndarray:
-    """All eigenvalues of a symmetric matrix, ascending, with multiplicity."""
+    """All eigenvalues of a symmetric matrix, ascending, with multiplicity;
+    for a stack (..., k, k), those of each slice, shape (..., k). A stack
+    gives each slice the same bits as a solve of that slice alone."""
     return np.linalg.eigvalsh(_checked(m))
 
 
 def eigensystem(m):
-    """(values, vectors): ascending eigenvalues and orthonormal columns."""
+    """(values, vectors): ascending eigenvalues and orthonormal columns,
+    slice by slice for a stack."""
     vals, vecs = np.linalg.eigh(_checked(m))
     return vals, vecs
 

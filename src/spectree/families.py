@@ -192,8 +192,15 @@ def line_graph(g: Graph) -> tuple[Graph, tuple[tuple[int, int], ...]]:
 
 def kronecker(g: Graph, h: Graph) -> Graph:
     """Tensor (categorical) product; vertex (u, x) is u * h.n + x."""
-    n = g.n * h.n
-    return Graph((g.adj[:, None, :, None] & h.adj[None, :, None, :]).reshape(n, n))
+    return Graph(_kron(g.adj, h.adj))
+
+
+def _kron(adj: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Adjacency of each tensor product X x H, for a stack (..., k, k) of
+    adjacency matrices of X and one (p, p) of H; shape (..., k*p, k*p)."""
+    k, p = adj.shape[-1], b.shape[-1]
+    # (..., k, 1, k, 1) & (p, 1, p) -> (..., k, p, k, p)
+    return (adj[..., :, None, :, None] & b[:, None, :]).reshape(*adj.shape[:-2], k * p, k * p)
 
 
 def cartesian(g: Graph, h: Graph) -> Graph:

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eigen import Spectrum, eigensystem, eigenvalues, group_spectrum, spectra_equal
-from .families import complete_graph, kronecker, line_graph
-from .graphs import Graph, _check_ints, degrees, is_bipartite, is_connected, is_tree
+from .families import _kron, complete_graph, line_graph
+from .graphs import Graph, _check_ints, is_bipartite, is_connected, is_tree
 
 __all__ = [
     "ROUTE_TOL",
@@ -44,20 +44,42 @@ def adjacency_matrix(g: Graph) -> np.ndarray:
 
 def laplacian(g: Graph) -> np.ndarray:
     """D(g) - A(g)."""
-    return np.diag(degrees(g).astype(np.float64)) - adjacency_matrix(g)
+    return _laplacian(g.adj)
 
 
 def q_matrix(g: Graph, m: int) -> np.ndarray:
     """Q_{m-1}(g) = A(g) + (m-1) D(g); m=2 gives the signless Laplacian."""
     _check_ints(2, m=m)
-    return adjacency_matrix(g) + (m - 1) * np.diag(degrees(g).astype(np.float64))
+    return _q_matrix(g.adj, m)
+
+
+# The assembly kernels take a stack (..., k, k) of boolean adjacency
+# matrices and build each slice's matrix. Off-diagonal zeros are +0.0:
+# a -0.0 entry changes the last bits LAPACK returns.
+
+def _laplacian(adj: np.ndarray) -> np.ndarray:
+    lap = np.where(adj, -1.0, 0.0)
+    diag = np.arange(adj.shape[-1])
+    lap[..., diag, diag] = adj.sum(axis=-1, dtype=np.float64)
+    return lap
+
+
+def _q_matrix(adj: np.ndarray, m: int) -> np.ndarray:
+    q = adj.astype(np.float64)
+    diag = np.arange(adj.shape[-1])
+    q[..., diag, diag] = (m - 1) * adj.sum(axis=-1, dtype=np.float64)
+    return q
+
+
+def _product_laplacian(adj: np.ndarray, m: int) -> np.ndarray:
+    """Laplacian of each X x K_m, X a slice of the stack adj."""
+    return _laplacian(_kron(adj, complete_graph(m).adj))
 
 
 def product_laplacian_spectrum_direct(g: Graph, m: int) -> Spectrum:
     """Assemble g x K_m explicitly and eigensolve its Laplacian."""
     _check_ints(2, m=m)
-    prod = kronecker(g, complete_graph(m))
-    return group_spectrum(eigenvalues(laplacian(prod)))
+    return group_spectrum(eigenvalues(_product_laplacian(g.adj, m)))
 
 
 def product_laplacian_spectrum_decomposed(g: Graph, m: int) -> Spectrum:
@@ -93,7 +115,12 @@ def algebraic_connectivity(g: Graph) -> float:
     """Second-smallest Laplacian eigenvalue (counting multiplicity)."""
     if g.n < 2:
         raise ValueError("needs at least two vertices")
-    return float(eigenvalues(laplacian(g))[1])
+    return float(_aconn(g.adj))
+
+
+def _aconn(adj: np.ndarray) -> np.ndarray:
+    """Algebraic connectivity of each graph in the adjacency stack adj."""
+    return eigenvalues(_laplacian(adj))[..., 1]
 
 
 def q_min(g: Graph, m: int) -> float:
@@ -117,8 +144,8 @@ def a_beta_m(tree: Graph, m: int) -> float:
     of the explicitly assembled product Laplacian (ROUTE_TOL).
     """
     _check_ints(2, m=m)
-    lg = _tree_line_graph(tree)
-    return _a_beta(lg, algebraic_connectivity(lg), m)
+    adj = _tree_line_graph(tree).adj[None]
+    return float(_a_beta(adj, _aconn(adj), m)[0])
 
 
 def _tree_line_graph(tree: Graph) -> Graph:
@@ -130,14 +157,23 @@ def _tree_line_graph(tree: Graph) -> Graph:
     return line_graph(tree)[0]
 
 
-def _a_beta(lg: Graph, a_l: float, m: int) -> float:
-    """a_beta_m for the line graph lg of a tree, given a_l = a(lg) and
-    m >= 2, so a sweep over m builds lg and solves a(lg) once."""
-    cand = min((m - 1) * a_l, q_min(lg, m))
-    direct = algebraic_connectivity(kronecker(lg, complete_graph(m)))
-    if abs(cand - direct) > ROUTE_TOL:
+def _a_beta(adj: np.ndarray, a_l: np.ndarray, m: int) -> np.ndarray:
+    """a_beta_m for each tree whose line graph L is a slice of the
+    adjacency stack adj (count, k, k), given a_l = a(L) per tree and
+    m >= 2, so a sweep over m builds L and solves a(L) once.
+
+    One stacked solve of Q_{m-1}(L) and one of the assembled L x K_m; each
+    tree's decomposed value must match its direct one within ROUTE_TOL,
+    or the error names the first tree, by its index in the stack, that
+    does not."""
+    cand = np.minimum((m - 1) * a_l, eigenvalues(_q_matrix(adj, m))[:, 0])
+    direct = eigenvalues(_product_laplacian(adj, m))[:, 1]
+    bad = np.flatnonzero(np.abs(cand - direct) > ROUTE_TOL)
+    if bad.size:
+        i = int(bad[0])
         raise RuntimeError(
-            f"decomposition value {cand!r} disagrees with direct value {direct!r}"
+            f"tree {i} of the stack: decomposition value {float(cand[i])!r} "
+            f"disagrees with direct value {float(direct[i])!r}"
         )
     return cand
 
@@ -153,7 +189,7 @@ def eigvec_lift_check(g: Graph, m: int) -> bool:
     """
     _check_ints(2, m=m)
     n = g.n
-    prod_lap = laplacian(kronecker(g, complete_graph(m)))
+    prod_lap = _product_laplacian(g.adj, m)
     lvals, lvecs = eigensystem(laplacian(g))
     qvals, qvecs = eigensystem(q_matrix(g, m))
     # row u * m + x of a lifted column is vertex (u, x) of g x K_m; the

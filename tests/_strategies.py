@@ -36,3 +36,10 @@ def general_graphs(draw):
         if g.edge_count:
             return line_graph(g)[0]  # else no line graph: fall through
     return draw(edge_graphs(draw(st.integers(1, 9))))
+
+
+@st.composite
+def graph_stacks(draw):
+    """One to five graphs of one order n <= 9, as a list."""
+    n = draw(st.integers(1, 9))
+    return draw(st.lists(edge_graphs(n), min_size=1, max_size=5))

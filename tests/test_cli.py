@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from spectree import closedform
+from spectree import cli, closedform
 from spectree.cli import main
 from spectree.families import tkst_tree
 from spectree.graphs import save_graph
@@ -214,6 +214,20 @@ def test_enumerate_csv_and_text_golden(capsys, fmt):
     code, out, _ = _run(capsys, ["enumerate", "--n", "10", "--format", fmt])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == _ENUMERATE_N10_SHA256[fmt]
+
+
+def test_enumerate_writes_the_same_bytes_in_chunks(capsys, monkeypatch):
+    # enumerate builds and writes at most _ENUM_CHUNK trees' edge lists at
+    # once; every n of the tree-enum benchmark (n <= 13) fits in one chunk,
+    # and any chunk size writes the same bytes
+    assert cli._ENUM_CHUNK >= 1301
+    for fmt in ("json", "csv", "text"):
+        argv = ["enumerate", "--n", "8", "--format", fmt]
+        whole = _run(capsys, argv)
+        for chunk in (1, 7, 23, 24):  # n = 8 has 23 trees
+            monkeypatch.setattr(cli, "_ENUM_CHUNK", chunk)
+            assert _run(capsys, argv) == whole, (fmt, chunk)
+        monkeypatch.undo()
 
 
 def test_export_stdout_and_file(capsys, tmp_path):

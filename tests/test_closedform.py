@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -93,6 +94,21 @@ def test_cubic_332_is_integral():
     np.testing.assert_allclose(cub.roots(), [3.0, 5.0, 8.0], atol=1e-9)
 
 
+def test_cubic_coeffs_must_be_the_cubic_of_s_t_m():
+    # a, b or c off by one would let roots() (from s, t, m) and
+    # integer_roots() (from a, b, c) disagree, so each is rejected by name
+    cub = integrality_cubic(3, 3, 2)
+    assert CubicCoeffs(16, 79, 120, 3, 3, 2) == cub
+    for name in ("a", "b", "c"):
+        want = getattr(cub, name)
+        for bad in (want - 1, want + 1):
+            fields = {**dataclasses.asdict(cub), name: bad}
+            with pytest.raises(ValueError, match=f"^{name} must be {want} for s=3, t=3, m=2, got {bad}$"):
+                CubicCoeffs(**fields)
+    with pytest.raises(ValueError, match="^a must be 16 for s=3, t=3, m=2, got 15$"):
+        dataclasses.replace(cub, a=15)
+
+
 def test_cubic_222_is_not_integral():
     cub = integrality_cubic(2, 2, 2)
     assert cub.integer_roots() is None
@@ -184,6 +200,6 @@ def test_book_aconn_bound():
 
 
 def test_cubic_coeffs_frozen():
-    cub = CubicCoeffs(a=1, b=2, c=3, s=1, t=1, m=2)
+    cub = CubicCoeffs(a=4, b=3, c=0, s=1, t=1, m=2)
     with pytest.raises(AttributeError):
         cub.a = 5

@@ -137,6 +137,30 @@ def test_solver_input_validation():
                     solve(m)
 
 
+def test_stacked_solve_checks_every_slice():
+    # a stack passes the same three checks as one matrix, slice by slice,
+    # and the error names the first slice that fails
+    lap = laplacian(star_graph(4))
+    stack = np.stack([lap, lap, lap])
+    asym = stack.copy()
+    asym[1, 0, 2] = 0.5
+    with pytest.raises(ValueError, match="^matrix 1 of the stack is not symmetric$"):
+        eigenvalues(asym)
+    for bad in (np.nan, np.inf):
+        nonfinite = stack.copy()
+        nonfinite[2, 3, 3] = bad
+        for solve in (eigenvalues, eigensystem):
+            with pytest.raises(ValueError, match="^matrix 2 of the stack has non-finite entries$"):
+                solve(nonfinite)
+    deep = np.stack([stack, asym])
+    with pytest.raises(ValueError, match="^matrix 1, 1 of the stack is not symmetric$"):
+        eigenvalues(deep)
+    with pytest.raises(ValueError, match="square"):
+        eigenvalues(np.ones((3, 2, 4)))
+    assert eigenvalues(stack).shape == (3, 4)
+    assert eigenvalues(stack).tobytes() == np.stack([eigenvalues(lap)] * 3).tobytes()
+
+
 # ---- Spectrum ----
 
 def test_group_spectrum_merges_close_values():

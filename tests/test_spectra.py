@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
-from spectree import spectra
-from spectree.eigen import eigensystem
+from spectree import families, spectra
+from spectree.eigen import eigensystem, eigenvalues
 from spectree.families import (
     complete_graph,
     enumerate_free_trees,
@@ -31,7 +32,7 @@ from spectree.spectra import (
 )
 
 from _oracles import jacobi, random_prufer_tree
-from _strategies import PROPERTY, general_graphs
+from _strategies import PROPERTY, general_graphs, graph_stacks
 
 
 def _cycle(n: int) -> Graph:
@@ -67,8 +68,6 @@ def _spot_graphs():
 
 
 def test_laplacian_psd_and_zero_row_sums():
-    from spectree.eigen import eigenvalues
-
     for g in _spot_graphs():
         lap = laplacian(g)
         np.testing.assert_allclose(lap.sum(axis=1), 0.0, atol=1e-12)
@@ -137,13 +136,85 @@ def test_a_beta_m_validation():
 
 
 def test_shared_line_graph_gives_a_beta_m_bitwise():
-    # the sweeps build L(tree) and solve a(L) once, then call _a_beta per m
+    # the sweeps stack the line graphs of every tree of size n, solve a(L)
+    # once, then call _a_beta per m; each tree must get the bits that
+    # a_beta_m gives it alone
     for n in range(3, 10):
-        for tree in enumerate_free_trees(n):
-            lg, _ = line_graph(tree)
-            a_l = algebraic_connectivity(lg)
-            for m in (2, 3, 4):
-                assert _a_beta(lg, a_l, m) == a_beta_m(tree, m), (n, m)
+        trees = enumerate_free_trees(n)
+        adj = np.stack([line_graph(tree)[0].adj for tree in trees])
+        a_l = spectra._aconn(adj)
+        for m in (2, 3, 4):
+            want = np.array([a_beta_m(tree, m) for tree in trees])
+            assert _a_beta(adj, a_l, m).tobytes() == want.tobytes(), (n, m)
+
+
+def test_stacked_a_beta_names_the_perturbed_tree(monkeypatch):
+    # the direct product solve of one tree moved by 1e-6: _a_beta must
+    # raise and name that tree by its index in the stack
+    trees = enumerate_free_trees(7)
+    adj = np.stack([line_graph(tree)[0].adj for tree in trees])
+    a_l = spectra._aconn(adj)
+
+    def perturbed(mat):
+        vals = eigenvalues(mat)
+        if bad is not None and mat.shape[-1] == adj.shape[-1] * m:  # the assembled L x K_m
+            vals[bad] += 1e-6
+        return vals
+
+    monkeypatch.setattr(spectra, "eigenvalues", perturbed)
+    for m in (2, 3):
+        bad = None
+        _a_beta(adj, a_l, m)  # unperturbed, the routes agree
+        for bad in (0, 5, len(trees) - 1):
+            with pytest.raises(RuntimeError, match=f"^tree {bad} of the stack: decomposition value "):
+                _a_beta(adj, a_l, m)
+
+
+def test_assembled_matrices_have_no_negative_zero():
+    # a -0.0 entry changes the last bits LAPACK returns, so every kernel
+    # writes its zeros as +0.0
+    for g in _spot_graphs():
+        mats = [laplacian(g), adjacency_matrix(g)]
+        for m in (2, 3):
+            mats += [q_matrix(g, m), spectra._product_laplacian(g.adj, m)]
+        for mat in mats:
+            assert not np.signbit(mat[mat == 0]).any()
+
+
+@PROPERTY
+@given(general_graphs())
+def test_product_routes_agree_on_general_graphs(g):
+    for m in (2, 3, 4):
+        res = product_spectrum(g, m)  # raises if the routes disagree
+        assert res.direct.dimension == res.decomposed.dimension == g.n * m
+
+
+@PROPERTY
+@given(graph_stacks(), st.integers(2, 4))
+def test_stacked_kernels_match_each_graph_bitwise(gs, m):
+    # each slice of a stacked assembly or solve has the bits of the same
+    # work done on that graph alone; the assemblies also match the
+    # textbook formulas D - A and A + (m-1) D entry for entry, zero signs
+    # included
+    adj = np.stack([g.adj for g in gs])
+    km = complete_graph(m)
+
+    def same(stacked, singles):
+        assert stacked.dtype == singles[0].dtype
+        assert stacked.tobytes() == np.stack(singles).tobytes()
+
+    deg = [np.diag(g.adj.sum(axis=1).astype(np.float64)) for g in gs]
+    lap = spectra._laplacian(adj)
+    same(lap, [d - g.adj.astype(np.float64) for g, d in zip(gs, deg)])
+    same(lap, [laplacian(g) for g in gs])
+    same(spectra._q_matrix(adj, m), [g.adj.astype(np.float64) + (m - 1) * d for g, d in zip(gs, deg)])
+    same(spectra._q_matrix(adj, m), [q_matrix(g, m) for g in gs])
+    same(families._kron(adj, km.adj), [kronecker(g, km).adj for g in gs])
+    same(families._kron(adj, km.adj), [np.kron(g.adj, km.adj) for g in gs])
+    same(eigenvalues(lap), [eigenvalues(laplacian(g)) for g in gs])
+    prod = spectra._product_laplacian(adj, m)
+    same(eigenvalues(prod), [eigenvalues(laplacian(kronecker(g, km))) for g in gs])
+    same(eigenvalues(spectra._q_matrix(adj, m)), [eigenvalues(q_matrix(g, m)) for g in gs])
 
 
 def test_a_beta_m_star_and_double_star_values():

@@ -6,9 +6,11 @@ import re
 import numpy as np
 import pytest
 
+from spectree import spectra, verify
 from spectree.families import (
     complete_graph,
     diam4_tree,
+    enumerate_free_trees,
     path_graph,
     star_graph,
     tkst_tree,
@@ -219,6 +221,44 @@ def test_thm_21_needs_a_nonempty_sweep():
             check_theorem_21(5, ms)
     with pytest.raises(ValueError, match="^m must be >= 2, got 1$"):
         run_claim("thm-2.1", m=1)
+
+
+def test_thm_21_stacks_at_most_a_chunk_of_trees(monkeypatch):
+    # n = 12 has 551 trees, more than one chunk: every stacked solve holds
+    # at most _SWEEP_CHUNK of them, and the stacks cover every tree once
+    # per matrix
+    stacks = []
+    solve = verify.eigenvalues
+
+    def spy(mat):
+        stacks.append(mat.shape)
+        return solve(mat)
+
+    monkeypatch.setattr(verify, "eigenvalues", spy)
+    monkeypatch.setattr(spectra, "eigenvalues", spy)
+    check_theorem_21(12, (2,))
+    assert len(enumerate_free_trees(12)) == 551 > verify._SWEEP_CHUNK
+    assert all(len(shape) == 3 for shape in stacks)
+    assert max(shape[0] for shape in stacks) == verify._SWEEP_CHUNK
+    # a(L), Q_1(L) and L x K_2 per tree
+    trees = sum(len(enumerate_free_trees(n)) for n in range(3, 13))
+    assert sum(shape[0] for shape in stacks) == 3 * trees
+
+
+def test_thm_21_names_the_stack_of_a_tree_whose_routes_disagree(monkeypatch):
+    # tree #03 of n = 6 has its direct product value moved by 1e-6
+    solve = spectra.eigenvalues
+
+    def perturbed(mat):
+        vals = solve(mat)
+        if mat.shape[-2:] == (5 * 3, 5 * 3):  # L x K_3 at n = 6
+            vals[3] += 1e-6
+        return vals
+
+    monkeypatch.setattr(spectra, "eigenvalues", perturbed)
+    check_theorem_21(5, (3,))
+    with pytest.raises(RuntimeError, match="^n=6, stack from tree #00: tree 3 of the stack: "):
+        check_theorem_21(6, (3,))
 
 
 def test_thm_21_single_m_run_matches_the_default_run():
