@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from .eigen import eigenvalues, group_spectrum, spectrum_to_dict
-from .families import build, enumerate_free_trees, line_graph, parse_family, tkst_tree
+from .families import _free_tree_parents, build, line_graph, parse_family, tkst_tree
 from .graphs import Graph, is_tree, load_graph
 from .spectra import (
     a_beta_m,
@@ -154,34 +154,47 @@ _ENUM_CHUNK = 2048
 def _cmd_enumerate(parser, args) -> int:
     if args.n < 1:
         parser.error("--n must be >= 1")
-    trees = enumerate_free_trees(args.n)
+    n, fmt = args.n, args.format
+    parents = _free_tree_parents(n)
+    _check_parent_rows(parents, n)
+    # cells[u * n + v] is edge (u, v) as the format writes it
+    cell = "{}-{}" if fmt == "csv" else "[{}, {}]"
+    cells = np.array([cell.format(u, v) for u in range(n) for v in range(n)], dtype=object)
     out = sys.stdout
-    if args.format == "json":
-        out.write(f'{{"n": {args.n}, "count": {len(trees)}, "trees": [')
-    elif args.format == "csv":
+    if fmt == "json":
+        out.write(f'{{"n": {n}, "count": {len(parents)}, "trees": [')
+    elif fmt == "csv":
         out.write("index,edges\n")
-    for lo in range(0, len(trees), _ENUM_CHUNK):
-        edges = _edge_lists(trees[lo:lo + _ENUM_CHUNK], args.n)
-        if args.format == "json":
+    for lo in range(0, len(parents), _ENUM_CHUNK):
+        # tree i's edges are (parent[v], v) for v >= 1; sorting u * n + v
+        # orders them by (parent, child) and indexes their cells
+        keys = np.sort(parents[lo:lo + _ENUM_CHUNK, 1:] * n + np.arange(1, n), axis=1)
+        trees = cells[keys].tolist()
+        if fmt == "csv":
+            out.write("".join(f"{i}," + " ".join(es) + "\n" for i, es in enumerate(trees, start=lo)))
+        elif fmt == "json":
             # the chunk's trees, written as items of the one "trees" list
-            out.write((", " if lo else "") + json.dumps(edges)[1:-1])
-        elif args.format == "csv":
-            for i, es in enumerate(edges, start=lo):
-                out.write(f"{i}," + " ".join(f"{u}-{v}" for u, v in es) + "\n")
+            out.write((", " if lo else "") + ", ".join("[" + ", ".join(es) + "]" for es in trees))
         else:
-            for es in edges:
-                out.write(json.dumps(es) + "\n")
-    if args.format == "json":
+            out.write("".join("[" + ", ".join(es) + "]\n" for es in trees))
+    if fmt == "json":
         out.write("]}\n")
     return 0
 
 
-def _edge_lists(trees, n: int) -> list:
-    """Each tree's sorted edge list, as lists of [u, v] lists."""
-    # every tree has n - 1 edges, so the nonzeros of the stacked upper
-    # triangles, in row-major order, are each tree's sorted edge list
-    _, u, v = np.nonzero(np.triu(np.stack([t.adj for t in trees]), 1))
-    return np.stack((u, v), axis=1).reshape(len(trees), n - 1, 2).tolist()
+def _check_parent_rows(parents: np.ndarray, n: int) -> None:
+    """Raise unless every row is a preorder parent array of a tree on n
+    vertices: row[0] = -1 and 0 <= row[v] < v for v >= 1, so each vertex
+    but 0 has one edge to an earlier vertex."""
+    ok = (parents >= 0) & (parents < np.arange(n))
+    ok[:, 0] = parents[:, 0] == -1
+    bad = np.argwhere(~ok)
+    if len(bad):
+        i, v = bad[0]
+        raise ValueError(
+            f"tree {i} on n = {n} vertices has parent {parents[i, v]} at vertex {v}; "
+            "a preorder parent array has -1 at vertex 0 and 0 <= parent < v at each vertex v >= 1"
+        )
 
 
 def _parse_range(parser, text: str, lo_min: int, what: str) -> range:

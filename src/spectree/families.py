@@ -224,13 +224,27 @@ def beta_m(tree: Graph, m: int) -> Graph:
 def enumerate_free_trees(n: int) -> list[Graph]:
     """All unlabeled trees on n vertices, one representative each.
 
+    The representatives are built at once from the preorder parent arrays
+    of _free_tree_parents, through one (count, n, n) adjacency array, and
+    come in the same order: sorted by the center-rooted canonical encoding.
+    Deterministic."""
+    parents = _free_tree_parents(n)
+    # in tree i, vertex v >= 1 is joined to up[i, v - 1]
+    tree, child, up = np.arange(len(parents))[:, None], np.arange(1, n), parents[:, 1:]
+    adj = np.zeros((len(parents), n, n), dtype=bool)
+    adj[tree, up, child] = adj[tree, child, up] = True
+    return [Graph(a) for a in adj]
+
+
+def _free_tree_parents(n: int) -> np.ndarray:
+    """One representative of each unlabeled tree on n vertices, as a
+    (count, n) int array sorted by canonical encoding. Each row is a parent
+    array in preorder: row[0] = -1 and 0 <= row[v] < v for v >= 1.
+
     Rooted trees are generated by the level-sequence successor rule, which
     hands over each tree's parent array with its sequence, and reduced to
     free trees by their center-rooted canonical encoding: a dict maps each
-    new encoding to the parent array of its first tree. All
-    representatives are then built at once, from one (count, n, n)
-    adjacency array filled from those parent arrays. Deterministic: output
-    is sorted by the encoding.
+    new encoding to the parent array of its first tree.
 
     Only sequences that can come first for their free tree are generated
     and keyed, which keeps every representative and the order unchanged:
@@ -253,12 +267,7 @@ def enumerate_free_trees(n: int) -> list[Graph]:
         key = _spine_key(parent, max(seq))
         if key is not None and key not in reps:
             reps[key] = parent[:]
-    parents = np.array([reps[k] for k in sorted(reps)])
-    # in tree i, vertex v >= 1 is joined to up[i, v - 1]
-    tree, child, up = np.arange(len(parents))[:, None], np.arange(1, n), parents[:, 1:]
-    adj = np.zeros((len(parents), n, n), dtype=bool)
-    adj[tree, up, child] = adj[tree, child, up] = True
-    return [Graph(a) for a in adj]
+    return np.array([reps[k] for k in sorted(reps)])
 
 
 def _leaf_rooted_level_sequences(n: int):
@@ -330,7 +339,7 @@ def tree_canonical_form(tree: Graph) -> str:
     The tree is relabelled in preorder from a vertex r farthest from vertex
     0, which is peripheral, listing the deepest child first; vertices
     0, 1, .., h then form a diametral path and _spine_key applies, as in
-    enumerate_free_trees. The first BFS also checks that the graph is a
+    _free_tree_parents. The first BFS also checks that the graph is a
     tree: connected, with n - 1 edges."""
     nbrs = tree.neighbors
     order = _bfs(tree, 0)[0]

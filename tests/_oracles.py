@@ -6,7 +6,9 @@ blocks from a recursive lowpoint DFS, component counts from a
 union-find, bipartiteness from trying every 2-colouring, tree centers
 from eccentricities, enumeration representatives from the largest level
 sequence over all roots, the enumeration's level sequences and parent
-arrays from the unfused successor rule and a separate parent walk,
+arrays from the unfused successor rule and a separate parent walk, the
+`enumerate` command's output from each tree's Graph, its edges read back
+from the stacked adjacency matrices and written through json.dumps,
 eigenvalues from a cyclic Jacobi iteration
 rather than the LAPACK routine the package calls, and eigenvalue grouping
 from the package's first merge loop, kept here as written.
@@ -15,6 +17,7 @@ from the package's first merge loop, kept here as written.
 from __future__ import annotations
 
 import heapq
+import json
 import math
 import sys
 
@@ -123,6 +126,22 @@ def leaf_rooted_sequences_oracle(n: int):
         seq = seq[:p]
         while len(seq) < n - 1:
             seq.append(seq[-(p - q)])
+
+
+def enumerate_output_oracle(trees, n: int, fmt: str) -> str:
+    """What `enumerate --n n --format fmt` writes for these trees, as the
+    command first wrote it: each tree's sorted edge list from the nonzeros
+    of the stacked upper triangles of the Graphs' adjacency matrices, then
+    json.dumps, csv rows or one json.dumps line per tree."""
+    _, u, v = np.nonzero(np.triu(np.stack([t.adj for t in trees]), 1))
+    edges = np.stack((u, v), axis=1).reshape(len(trees), n - 1, 2).tolist()
+    if fmt == "json":
+        return json.dumps({"n": n, "count": len(trees), "trees": edges}) + "\n"
+    if fmt == "csv":
+        return "index,edges\n" + "".join(
+            f"{i}," + " ".join(f"{a}-{b}" for a, b in es) + "\n" for i, es in enumerate(edges)
+        )
+    return "".join(json.dumps(es) + "\n" for es in edges)
 
 
 def line_graph_oracle(g: Graph) -> Graph:

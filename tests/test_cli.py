@@ -6,9 +6,11 @@ import pytest
 
 from spectree import cli, closedform
 from spectree.cli import main
-from spectree.families import tkst_tree
+from spectree.families import enumerate_free_trees, tkst_tree
 from spectree.graphs import save_graph
 from spectree.spectra import ROUTE_TOL
+
+from _oracles import enumerate_output_oracle
 
 
 def _run(capsys, argv):
@@ -202,18 +204,61 @@ def test_enumerate_json_golden(capsys, n):
 
 
 # the same for the other two formats at n = 10, which read the same edge
-# lists as json
-_ENUMERATE_N10_SHA256 = {
-    "csv": "f8d427a7cd4801b77b0fc15d65262ffdb4cf077d7f9a01778bef881ee532dffe",
-    "text": "ffbbf8cf9aae78cae02b635d5a7a52de4ac923268d3a29d54c6377010223cccf",
+# lists as json, and at n = 1 and 2: no edge, and one
+_ENUMERATE_CSV_TEXT_SHA256 = {
+    "csv": {
+        1: "d886239b3c08a6711f94a8c84405550e3c8dfaec7f8e7bb5c612ecdef4733d17",
+        2: "a5877f5b7e670e4e0329896ebc53bc56efeba08b2b4ba69a557a8dcc379893f2",
+        10: "f8d427a7cd4801b77b0fc15d65262ffdb4cf077d7f9a01778bef881ee532dffe",
+    },
+    "text": {
+        1: "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
+        2: "3fc9e4107a30c79a0b33dfa66d9aaf3fdda293a082ce23788361ecae28e82c53",
+        10: "ffbbf8cf9aae78cae02b635d5a7a52de4ac923268d3a29d54c6377010223cccf",
+    },
 }
 
 
-@pytest.mark.parametrize("fmt", sorted(_ENUMERATE_N10_SHA256))
+@pytest.mark.parametrize("fmt", sorted(_ENUMERATE_CSV_TEXT_SHA256))
 def test_enumerate_csv_and_text_golden(capsys, fmt):
-    code, out, _ = _run(capsys, ["enumerate", "--n", "10", "--format", fmt])
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == _ENUMERATE_N10_SHA256[fmt]
+    for n, digest in _ENUMERATE_CSV_TEXT_SHA256[fmt].items():
+        code, out, _ = _run(capsys, ["enumerate", "--n", str(n), "--format", fmt])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, n
+
+
+def test_enumerate_writes_what_the_graph_path_wrote(capsys, monkeypatch):
+    # enumerate writes from the generator's parent arrays; the reference
+    # builds each tree's Graph and reads the edges back from its adjacency
+    default = cli._ENUM_CHUNK
+    for n in range(1, 13):
+        trees = enumerate_free_trees(n)
+        for fmt in ("json", "csv", "text"):
+            want = enumerate_output_oracle(trees, n, fmt)
+            for chunk in (1, 7, default):
+                monkeypatch.setattr(cli, "_ENUM_CHUNK", chunk)
+                got = _run(capsys, ["enumerate", "--n", str(n), "--format", fmt])
+                assert got == (0, want, ""), (n, fmt, chunk)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+@pytest.mark.parametrize("tree, vertex, parent", [
+    (5, 6, 6),    # parent[v] >= v: not an earlier vertex
+    (17, 4, -1),  # a second root
+    (0, 0, 0),    # no root
+])
+def test_enumerate_rejects_a_row_that_is_not_a_tree(capsys, monkeypatch, fmt, tree, vertex, parent):
+    real = cli._free_tree_parents
+
+    def broken(n):
+        parents = real(n)
+        parents[tree, vertex] = parent
+        return parents
+
+    monkeypatch.setattr(cli, "_free_tree_parents", broken)
+    code, out, err = _run(capsys, ["enumerate", "--n", "8", "--format", fmt])
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: tree {tree} on n = 8 vertices has parent {parent} at vertex {vertex};")
 
 
 def test_enumerate_writes_the_same_bytes_in_chunks(capsys, monkeypatch):

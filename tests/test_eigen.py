@@ -258,6 +258,24 @@ def test_spectrum_json_round_trip():
     assert d["tol"] == GROUP_TOL
 
 
+@st.composite
+def _spectra(draw):
+    """Spectra of any finite values, subnormal and huge ones and -0.0
+    included, with multiplicities up to 100."""
+    edge = st.sampled_from([-0.0, 5e-324, -1.7976931348623157e308, 1 / 3])
+    finite = st.one_of(edge, st.floats(allow_nan=False, allow_infinity=False))
+    values = sorted(draw(st.lists(finite, unique=True, max_size=12)))
+    return Spectrum(tuple((v, draw(st.integers(1, 100))) for v in values))
+
+
+@PROPERTY
+@given(_spectra())
+def test_spectrum_json_round_trip_keeps_every_bit(s):
+    back = spectrum_from_dict(json.loads(json.dumps(spectrum_to_dict(s))))
+    assert _hex(back.pairs) == _hex(s.pairs)
+    assert all(type(m) is int for _, m in back.pairs)
+
+
 def test_spectrum_from_json_rejects_nan_value():
     with pytest.raises(ValueError, match="finite, got nan"):
         spectrum_from_dict(json.loads('{"pairs": [[NaN, 1]], "tol": 1e-07}'))

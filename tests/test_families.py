@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given
 
 from spectree import families
 from spectree.closedform import (
@@ -71,6 +72,7 @@ from _oracles import (
     representative_oracle,
     tree_key_oracle,
 )
+from _strategies import PROPERTY, general_graphs
 
 # free trees on 1..8 vertices (OEIS A000055)
 FREE_TREE_COUNTS = (1, 1, 1, 2, 3, 6, 11, 23)
@@ -318,6 +320,12 @@ def test_cartesian_matches_definition():
     np.testing.assert_array_equal(
         got.adj, cartesian_adjacency_oracle(path_graph(3).adj, path_graph(2).adj)
     )
+
+
+@PROPERTY
+@given(general_graphs(), general_graphs())
+def test_cartesian_matches_definition_on_general_graphs(g, h):
+    np.testing.assert_array_equal(cartesian(g, h).adj, cartesian_adjacency_oracle(g.adj, h.adj))
 
 
 def test_beta_m_is_line_graph_times_clique():
