@@ -10,6 +10,7 @@ digits; json and csv keep full precision.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -228,7 +229,10 @@ def _cmd_export(parser, args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process and shared by every call
+    of main; parse_args keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="spectree",
         description="Laplacian spectra of Kronecker products of graphs with complete graphs.",

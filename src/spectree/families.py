@@ -257,17 +257,51 @@ def _free_tree_parents(n: int) -> np.ndarray:
       a peripheral vertex is a leaf.
     The leaf-rooted sequences whose root's height is the diameter thus
     hold each free tree's first sequence, in the same relative order.
-    Their leading 0, 1, .., h is a diametral path, so the centers are its
-    middle vertices and the key re-roots along that path alone
-    (_spine_key).
+
+    Before any key is built, one pass over the vertices off the spine
+    0, 1, .., h (_may_come_first) turns a sequence away by either of two
+    rules. Off the spine, preorder lists the branches by the spine vertex k
+    they hang from, in decreasing k.
+    - Long path: a vertex at level l in the branch at k lies
+      (l - k) + (h - k) from vertex h, so l > 2k makes the diameter exceed
+      the root's height h; the root is not peripheral, and the sequence is
+      not first.
+    - Far-end duplicate: let b = parent[h + 1], the largest k, and k the
+      smallest. Rooted at vertex h, the other end of the spine, the tree
+      has a level sequence starting 0, 1, .., h, h - k + 1, and its
+      canonical sequence is at least that. When h - k > b this beats the
+      0, 1, .., h, b + 1 here, so the decreasing generator has already
+      emitted a sequence of the same free tree.
+    Neither rule fires on a first sequence. When the long-path rule lets a
+    sequence through, every vertex lies within h of every other, so
+    0, 1, .., h is a diametral path: the centers are its middle vertices,
+    and the key re-roots along that path alone (_spine_key).
     """
     _check_ints(1, n=n)
     reps: dict[str, list[int]] = {}
     for seq, parent in _leaf_rooted_level_sequences(n):
-        key = _spine_key(parent, max(seq))
-        if key is not None and key not in reps:
-            reps[key] = parent[:]
+        h = max(seq)
+        if _may_come_first(seq, parent, h):
+            key = _spine_key(parent, h)
+            if key not in reps:
+                reps[key] = parent[:]
     return np.array([reps[k] for k in sorted(reps)])
+
+
+def _may_come_first(seq, parent, h: int) -> bool:
+    """False when the long-path or far-end rule of _free_tree_parents
+    turns this leaf-rooted sequence away, its root's height being h; one
+    pass over the vertices after the spine 0, 1, .., h."""
+    n = len(seq)
+    if h + 1 == n:
+        return True
+    b = k = parent[h + 1]
+    for v in range(h + 1, n):
+        if parent[v] <= h:
+            k = parent[v]  # v starts the branch at spine vertex k
+        if seq[v] > 2 * k:
+            return False
+    return h - k <= b
 
 
 def _leaf_rooted_level_sequences(n: int):
@@ -300,18 +334,12 @@ def _leaf_rooted_level_sequences(n: int):
             parent[j] = parent[j - d] + d if lv > level else up
 
 
-def _spine_key(parent, h: int) -> str | None:
+def _spine_key(parent, h: int) -> str:
     """Canonical encoding of a tree given by the parent array of its
     vertices in preorder, where 0, 1, .., h is a path from the root to a
-    deepest vertex; None when the root's height h is not the diameter."""
+    deepest vertex. The caller guarantees that h is the diameter: a
+    peripheral root, as _may_come_first and tree_canonical_form give."""
     n = len(parent)
-    deep = [0] * n  # deepest branch below each vertex
-    for v in range(n - 1, 0, -1):
-        d, u = deep[v] + 1, parent[v]
-        if deep[u] + d > h:
-            return None
-        if d > deep[u]:
-            deep[u] = d
     # 0..h is a diametral path, so its middle vertices are the centers
     c = h // 2
     kids: list[list[str]] = [[] for _ in range(n)]

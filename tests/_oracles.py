@@ -6,7 +6,9 @@ blocks from a recursive lowpoint DFS, component counts from a
 union-find, bipartiteness from trying every 2-colouring, tree centers
 from eccentricities, enumeration representatives from the largest level
 sequence over all roots, the enumeration's level sequences and parent
-arrays from the unfused successor rule and a separate parent walk, the
+arrays from the unfused successor rule and a separate parent walk, its
+representatives from keying every leaf-rooted sequence whose root is
+peripheral, found by a pass over every vertex's deepest branch, the
 `enumerate` command's output from each tree's Graph, its edges read back
 from the stacked adjacency matrices and written through json.dumps,
 eigenvalues from a cyclic Jacobi iteration
@@ -126,6 +128,37 @@ def leaf_rooted_sequences_oracle(n: int):
         seq = seq[:p]
         while len(seq) < n - 1:
             seq.append(seq[-(p - q)])
+
+
+def free_tree_parents_oracle(n: int) -> np.ndarray:
+    """The enumeration's (count, n) array of representatives, as it was
+    found before any sequence was turned away unkeyed: every leaf-rooted
+    sequence whose root's height h is the diameter gets a key, and the
+    first parent array of each key is kept, sorted by key. A pass over
+    every vertex's deepest branch finds the long paths; the key is the
+    recursive rooted encoding at the middle of the diametral path 0..h,
+    the smaller of the two when h is odd."""
+    reps: dict[str, list[int]] = {}
+    for seq, parent in leaf_rooted_sequences_oracle(n):
+        h = max(seq)
+        deep = [0] * n  # deepest branch below each vertex
+        for v in range(n - 1, 0, -1):
+            d, u = deep[v] + 1, parent[v]
+            if deep[u] + d > h:
+                break
+            deep[u] = max(deep[u], d)
+        else:
+            nbrs = [[] for _ in range(n)]
+            for v in range(1, n):
+                nbrs[v].append(parent[v])
+                nbrs[parent[v]].append(v)
+
+            def encode(v, up):
+                return "(" + "".join(sorted(encode(w, v) for w in nbrs[v] if w != up)) + ")"
+
+            key = min(encode(c, -1) for c in {h // 2, (h + 1) // 2})
+            reps.setdefault(key, parent)
+    return np.array([reps[k] for k in sorted(reps)])
 
 
 def enumerate_output_oracle(trees, n: int, fmt: str) -> str:

@@ -275,6 +275,23 @@ def test_enumerate_writes_the_same_bytes_in_chunks(capsys, monkeypatch):
         monkeypatch.undo()
 
 
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_usage_error_leaves_the_shared_parser_as_it_was(capsys):
+    # main parses every call with one parser; a call that fails in argparse
+    # must not leave a value, or a missing default, for the next one
+    argv = ["enumerate", "--n", "6"]
+    before = _run(capsys, argv)
+    for bad in (["enumerate", "--n", "6", "--format", "csv", "--bogus"], ["enumerate", "--format", "json"]):
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+        assert _run(capsys, argv) == before
+
+
 def test_export_stdout_and_file(capsys, tmp_path):
     code, out, _ = _run(
         capsys,

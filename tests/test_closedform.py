@@ -6,6 +6,7 @@ import pytest
 
 from spectree.closedform import (
     CubicCoeffs,
+    _cubic,
     book_aconn_bound,
     book_line_laplacian_spectrum,
     integer_roots_of_monic_cubic,
@@ -85,6 +86,29 @@ def test_cubic_roots_match_numpy():
         got = np.array(cub.roots())
         want = np.sort(np.roots([1.0, -cub.a, cub.b, -cub.c]).real)
         np.testing.assert_allclose(got, want, atol=1e-7)
+
+
+def test_cubic_is_the_charpoly_of_the_quotient_symbolically():
+    """The 3x3 quotient that CubicCoeffs.roots solves, built symbolically
+    in s, t and m, has characteristic polynomial x^3 - a x^2 + b x - c with
+    (a, b, c) = _cubic(s, t, m), coefficient by coefficient."""
+    sympy = pytest.importorskip("sympy")
+    s, t, m, x = sympy.symbols("s t m x")
+    quot = sympy.Matrix(
+        [
+            [(m - 1) * (s + t), sympy.sqrt(s), sympy.sqrt(t)],
+            [sympy.sqrt(s), m * s - 1, 0],
+            [sympy.sqrt(t), 0, m * t - 1],
+        ]
+    )
+    a, b, c = _cubic(s, t, m)
+    got = quot.charpoly(x).all_coeffs()
+    assert [sympy.expand(g - w) for g, w in zip(got, (1, -a, b, -c))] == [0, 0, 0, 0]
+    # the symbolic quotient is the one roots() solves
+    for st_m in ((1, 1, 2), (3, 2, 2), (2, 5, 4)):
+        at = dict(zip((s, t, m), st_m))
+        want = sorted(complex(r).real for r in quot.subs(at).charpoly(x).nroots())
+        assert integrality_cubic(*st_m).roots() == pytest.approx(want, abs=1e-9)
 
 
 def test_cubic_332_is_integral():

@@ -64,6 +64,7 @@ from spectree.verify import check_theorem_21
 
 from _oracles import (
     cartesian_adjacency_oracle,
+    free_tree_parents_oracle,
     kron_adjacency_oracle,
     leaf_rooted_sequences_oracle,
     line_graph_oracle,
@@ -77,9 +78,11 @@ from _strategies import PROPERTY, general_graphs
 # free trees on 1..8 vertices (OEIS A000055)
 FREE_TREE_COUNTS = (1, 1, 1, 2, 3, 6, 11, 23)
 # canonical keys the enumeration computes for n = 1..9: one per leaf-rooted
-# level sequence whose root's height is the tree's diameter, against
-# 1, 1, 2, 4, 9, 20, 48, 115, 286 rooted sequences (OEIS A000081)
-KEYS_PER_N = (1, 1, 1, 2, 4, 8, 17, 37, 84)
+# level sequence that neither the long-path nor the far-end rule turns
+# away, against 1, 1, 1, 2, 4, 8, 17, 37, 84 leaf-rooted sequences whose
+# root's height is the diameter and 1, 1, 2, 4, 9, 20, 48, 115, 286 rooted
+# sequences (OEIS A000081)
+KEYS_PER_N = (1, 1, 1, 2, 3, 6, 12, 25, 56)
 
 
 # ---- constructors ----
@@ -399,15 +402,14 @@ def test_leaf_rooted_sequences_match_the_unfused_rule():
 def test_canonical_form_matches_enumeration_keys(monkeypatch):
     """The key the enumeration computes from each rooted tree's parent
     array equals tree_canonical_form of that tree and of a relabelled copy,
-    and the independent oracle's string. Only the peripheral-leaf-rooted
-    sequences get a key; the others are turned away with None."""
+    and the independent oracle's string. Only the sequences that may come
+    first for their free tree get a key; the count pins that work."""
     spine_key = families._spine_key
     seen = []
 
     def record(parent, h):
         key = spine_key(parent, h)
-        if key is not None:
-            seen[-1].append((key, [(parent[v], v) for v in range(1, len(parent))]))
+        seen[-1].append((key, [(parent[v], v) for v in range(1, len(parent))]))
         return key
 
     monkeypatch.setattr(families, "_spine_key", record)
@@ -423,6 +425,75 @@ def test_canonical_form_matches_enumeration_keys(monkeypatch):
             g = from_edge_list(n, edges)
             assert tree_canonical_form(g) == key == tree_key_oracle(g)
             assert tree_canonical_form(_relabel(rng, g)) == key
+
+
+def test_free_tree_parents_match_keying_every_sequence():
+    # turning sequences away before the key keeps every representative
+    # and the order of the old loop, which keyed each leaf-rooted sequence
+    for n in range(1, 15):
+        got = families._free_tree_parents(n)
+        np.testing.assert_array_equal(got, free_tree_parents_oracle(n), err_msg=str(n))
+
+
+def _diameter(parent):
+    """Longest path of the tree with this parent array: the eccentricity
+    of a vertex farthest from vertex 0, by two breadth-first searches."""
+    nbrs = [[] for _ in parent]
+    for v in range(1, len(parent)):
+        nbrs[v].append(parent[v])
+        nbrs[parent[v]].append(v)
+
+    def farthest(s):
+        dist = {s: 0}
+        queue = [s]
+        for v in queue:
+            for w in nbrs[v]:
+                if w not in dist:
+                    dist[w] = dist[v] + 1
+                    queue.append(w)
+        return v, dist[v]
+
+    return farthest(farthest(0)[0])[1]
+
+
+def test_turned_away_sequences_are_long_or_already_keyed(monkeypatch):
+    """Each leaf-rooted sequence the enumeration does not key has a path
+    longer than its root's height h, or its tree's key was stored from an
+    earlier sequence: neither rule drops a first sequence."""
+    events = {}  # n -> [parent, h, key or None] per sequence, in generator order
+    generate, spine_key = families._leaf_rooted_level_sequences, families._spine_key
+
+    def logged(n):
+        for seq, parent in generate(n):
+            events[n].append([parent[:], max(seq), None])
+            yield seq, parent
+
+    def record(parent, h):
+        last = events[len(parent)][-1]
+        assert parent == last[0] and h == last[1]
+        last[2] = key = spine_key(parent, h)
+        return key
+
+    monkeypatch.setattr(families, "_leaf_rooted_level_sequences", logged)
+    monkeypatch.setattr(families, "_spine_key", record)
+    for n in range(1, 12):
+        events[n] = []
+        families._free_tree_parents(n)
+    monkeypatch.undo()
+
+    for n, seqs in events.items():
+        stored, long_paths, repeats = set(), 0, 0
+        for parent, h, key in seqs:
+            if key is not None:
+                stored.add(key)
+            elif _diameter(parent) > h:
+                long_paths += 1
+            else:
+                edges = [(parent[v], v) for v in range(1, n)]
+                assert tree_canonical_form(from_edge_list(n, edges)) in stored, (n, parent)
+                repeats += 1
+    # at n = 11 both rules turn sequences away
+    assert long_paths and repeats
 
 
 def test_canonical_form_of_random_trees():
