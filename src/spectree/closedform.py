@@ -21,7 +21,6 @@ from .spectra import laplacian
 __all__ = [
     "CubicCoeffs",
     "star_product_spectrum",
-    "t1st_q_spectrum_m2",
     "t1st_line_laplacian_spectrum",
     "integrality_cubic",
     "is_beta_laplacian_integral",
@@ -57,20 +56,6 @@ def star_product_spectrum(n: int, m: int) -> Spectrum:
         (float(n + (m - 1) * (n - 2) - 2), m - 1),
         (float((n - 1) * (m - 1)), n - 2),
     ]
-    return spectrum_from_pairs(pairs)
-
-
-def t1st_q_spectrum_m2(s: int, t: int) -> Spectrum:
-    """Signless Laplacian spectrum of L(T(1,s,t)): s-1 copies of s-1, t-1
-    copies of t-1, one s+t-1, and the roots of
-    x^2 - (2(s+t)-1) x + (4st - 2(s+t))."""
-    _check_ints(1, s=s, t=t)
-    lo, hi = quad_roots(2.0 * (s + t) - 1.0, 4.0 * s * t - 2.0 * (s + t))
-    pairs = [(float(s + t - 1), 1), (lo, 1), (hi, 1)]
-    if s >= 2:
-        pairs.append((float(s - 1), s - 1))
-    if t >= 2:
-        pairs.append((float(t - 1), t - 1))
     return spectrum_from_pairs(pairs)
 
 

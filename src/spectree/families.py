@@ -242,9 +242,9 @@ def _free_tree_parents(n: int) -> np.ndarray:
     array in preorder: row[0] = -1 and 0 <= row[v] < v for v >= 1.
 
     Rooted trees are generated by the level-sequence successor rule, which
-    hands over each tree's parent array with its sequence, and reduced to
-    free trees by their center-rooted canonical encoding: a dict maps each
-    new encoding to the parent array of its first tree.
+    hands over each tree's parent array, and reduced to free trees by their
+    center-rooted canonical encoding: a dict maps each new encoding to the
+    parent array of its first tree.
 
     Only sequences that can come first for their free tree are generated
     and keyed, which keeps every representative and the order unchanged:
@@ -258,8 +258,8 @@ def _free_tree_parents(n: int) -> np.ndarray:
     The leaf-rooted sequences whose root's height is the diameter thus
     hold each free tree's first sequence, in the same relative order.
 
-    Before any key is built, one pass over the vertices off the spine
-    0, 1, .., h (_may_come_first) turns a sequence away by either of two
+    The generator (_first_candidates) turns a leaf-rooted sequence away
+    at the first vertex off the spine 0, 1, .., h that breaks either of two
     rules. Off the spine, preorder lists the branches by the spine vertex k
     they hang from, in decreasing k.
     - Long path: a vertex at level l in the branch at k lies
@@ -272,53 +272,52 @@ def _free_tree_parents(n: int) -> np.ndarray:
       canonical sequence is at least that. When h - k > b this beats the
       0, 1, .., h, b + 1 here, so the decreasing generator has already
       emitted a sequence of the same free tree.
-    Neither rule fires on a first sequence. When the long-path rule lets a
-    sequence through, every vertex lies within h of every other, so
-    0, 1, .., h is a diametral path: the centers are its middle vertices,
-    and the key re-roots along that path alone (_spine_key).
+    Neither rule fires on a first sequence. h, b and the k of each vertex
+    lie in the prefix up to that vertex, so when vertex v breaks a rule,
+    every sequence starting with the same v + 1 levels breaks it too. Those
+    sequences come one after another, the last of them with every vertex
+    after v a leaf at level 2; the generator applies the successor rule to
+    that one and skips them all unseen, none of them a first sequence.
+
+    When the long-path rule lets a sequence through, every vertex lies
+    within h of every other, so 0, 1, .., h is a diametral path: the
+    centers are its middle vertices, and the key re-roots along that path
+    alone (_spine_key). A canonical sequence also lists each vertex's
+    children in increasing encoding, so below the center the key needs no
+    sort.
     """
     _check_ints(1, n=n)
     reps: dict[str, list[int]] = {}
-    for seq, parent in _leaf_rooted_level_sequences(n):
-        h = max(seq)
-        if _may_come_first(seq, parent, h):
-            key = _spine_key(parent, h)
-            if key not in reps:
-                reps[key] = parent[:]
+    for parent, h in _first_candidates(n):
+        key = _spine_key(parent, h)
+        if key not in reps:
+            reps[key] = parent[:]
     return np.array([reps[k] for k in sorted(reps)])
 
 
-def _may_come_first(seq, parent, h: int) -> bool:
-    """False when the long-path or far-end rule of _free_tree_parents
-    turns this leaf-rooted sequence away, its root's height being h; one
-    pass over the vertices after the spine 0, 1, .., h."""
-    n = len(seq)
-    if h + 1 == n:
-        return True
-    b = k = parent[h + 1]
-    for v in range(h + 1, n):
-        if parent[v] <= h:
-            k = parent[v]  # v starts the branch at spine vertex k
-        if seq[v] > 2 * k:
-            return False
-    return h - k <= b
-
-
-def _leaf_rooted_level_sequences(n: int):
-    """(seq, parent) for the canonical level sequences on n vertices whose
-    root has one child, in decreasing lexicographic order (path first);
-    parent[v] is the last vertex before v one level up, -1 for the root.
-    Both lists are updated in place between yields.
+def _first_candidates(n: int):
+    """(parent, h) for the canonical level sequences on n vertices whose
+    root has one child and which neither rule of _free_tree_parents turns
+    away, in decreasing lexicographic order (path first); parent[v] is the
+    last vertex before v one level up, -1 for the root, and h is the
+    root's height. The list is updated in place between yields.
 
     The root sits above a rooted tree on n - 1 vertices, so this is the
     successor rule on those trees, run one level lower: the last vertex
     above level 2 moves up to its parent's level and the block from that
-    parent on repeats to the end."""
+    parent on repeats to the end. Each rewritten vertex is checked as it is
+    written, and the first one to break a rule ends the sequence there."""
     seq = list(range(n))
     parent = list(range(-1, n - 1))
+    # spine vertex each vertex's branch hangs from; spine vertices their own
+    spine = list(range(n))
+    h, lo = n - 1, 0  # lo = h - b: a branch at k < lo breaks the far-end rule
+    yield parent, h
+    v = n - 1
     while True:
-        yield seq, parent
-        p = n - 1
+        # the last vertex at or before v above level 2; every vertex after
+        # v counts as a leaf at level 2
+        p = v
         while p > 1 and seq[p] < 3:
             p -= 1
         if p <= 1:
@@ -326,26 +325,42 @@ def _leaf_rooted_level_sequences(n: int):
         q = p - 1
         while seq[q] != seq[p] - 1:
             q -= 1
-        # vertex j >= p copies j - d: a copy of q is a sibling of q, any
+        # vertex v >= p copies v - d: a copy of q is a sibling of q, any
         # other vertex hangs d below its original's parent
         d, level, up = p - q, seq[q], parent[q]
-        for j in range(p, n):
-            seq[j] = lv = seq[j - d]
-            parent[j] = parent[j - d] + d if lv > level else up
+        if p <= h:
+            # p was the spine's end and moves up beside its parent
+            h = p - 1
+        if p == h + 1:
+            lo = h - up  # b = parent[p], a copy of q
+        for v in range(p, n):
+            seq[v] = lv = seq[v - d]
+            parent[v] = u = parent[v - d] + d if lv > level else up
+            spine[v] = k = spine[u]
+            if k < lo or lv > 2 * k:
+                break
+        else:
+            yield parent, h  # and v = n - 1
 
 
 def _spine_key(parent, h: int) -> str:
     """Canonical encoding of a tree given by the parent array of its
     vertices in preorder, where 0, 1, .., h is a path from the root to a
     deepest vertex. The caller guarantees that h is the diameter: a
-    peripheral root, as _may_come_first and tree_canonical_form give."""
+    peripheral root, as _first_candidates and tree_canonical_form give.
+
+    The preorder must also be canonical: each vertex lists its children
+    by decreasing level sequence, which is increasing encoding (at the
+    first difference, a deeper next level writes "(" where the other
+    writes ")"). Below the center the children's encodings are then joined
+    as listed, without a sort; only the re-rooted path 0..c sorts."""
     n = len(parent)
     # 0..h is a diametral path, so its middle vertices are the centers
     c = h // 2
     kids: list[list[str]] = [[] for _ in range(n)]
     for v in range(n - 1, c, -1):
-        below = kids[v]
-        kids[parent[v]].append("(" + "".join(sorted(below)) + ")" if below else "()")
+        below = kids[v]  # in decreasing preorder, so reversed is sorted
+        kids[parent[v]].append("(" + "".join(below[::-1]) + ")" if below else "()")
     # path vertices k < c hold only their off-path children; re-root
     # along the path, carrying the encoding of the part above k + 1
     up: list[str] = []
@@ -365,25 +380,29 @@ def tree_canonical_form(tree: Graph) -> str:
     the tree is bicentral). Equal strings iff isomorphic.
 
     The tree is relabelled in preorder from a vertex r farthest from vertex
-    0, which is peripheral, listing the deepest child first; vertices
-    0, 1, .., h then form a diametral path and _spine_key applies, as in
-    _free_tree_parents. The first BFS also checks that the graph is a
-    tree: connected, with n - 1 edges."""
+    0, which is peripheral, listing each vertex's children by increasing
+    encoding, built bottom up from r. That is a canonical preorder, and
+    the smallest encoding is a deepest child's, so vertices 0, 1, .., h
+    form a diametral path and _spine_key applies, as in _free_tree_parents.
+    The first BFS also checks that the graph is a tree: connected, with
+    n - 1 edges."""
     nbrs = tree.neighbors
     order = _bfs(tree, 0)[0]
     if len(order) != tree.n or tree.edge_count != tree.n - 1:
         raise ValueError("canonical form defined for trees")
     r = order[-1]
     order, up = _bfs(tree, r)
-    height = [0] * tree.n
-    for v in reversed(order[1:]):
-        height[up[v]] = max(height[up[v]], height[v] + 1)
+    enc, kids = [""] * tree.n, [None] * tree.n
+    for v in reversed(order):
+        # largest encoding first, so the smallest is popped first below
+        kids[v] = sorted((w for w in nbrs[v] if w != up[v]), key=enc.__getitem__, reverse=True)
+        enc[v] = "(" + "".join(enc[w] for w in reversed(kids[v])) + ")"
     parent: list[int] = []
     stack = [(r, -1)]
     while stack:
         v, p = stack.pop()
-        kids = sorted((w for w in nbrs[v] if w != up[v]), key=height.__getitem__)
-        stack += [(w, len(parent)) for w in kids]  # deepest is popped first
+        stack += [(w, len(parent)) for w in kids[v]]
         parent.append(p)
-    return _spine_key(parent, height[r])
-
+    # the path 0, 1, .., h ends at the first vertex without a child
+    h = next(v for v in range(tree.n) if v + 1 == tree.n or parent[v + 1] != v)
+    return _spine_key(parent, h)

@@ -6,9 +6,11 @@ blocks from a recursive lowpoint DFS, component counts from a
 union-find, bipartiteness from trying every 2-colouring, tree centers
 from eccentricities, enumeration representatives from the largest level
 sequence over all roots, the enumeration's level sequences and parent
-arrays from the unfused successor rule and a separate parent walk, its
-representatives from keying every leaf-rooted sequence whose root is
-peripheral, found by a pass over every vertex's deepest branch, the
+arrays from the unfused successor rule and a separate parent walk, the
+sequences it keys from a filter run on each whole sequence rather than a
+skip of every extension of a failing prefix, its representatives from
+keying every leaf-rooted sequence whose root is peripheral, found by a
+pass over every vertex's deepest branch, the
 `enumerate` command's output from each tree's Graph, its edges read back
 from the stacked adjacency matrices and written through json.dumps,
 eigenvalues from a cyclic Jacobi iteration
@@ -128,6 +130,23 @@ def leaf_rooted_sequences_oracle(n: int):
         seq = seq[:p]
         while len(seq) < n - 1:
             seq.append(seq[-(p - q)])
+
+
+def may_come_first_oracle(seq, parent, h: int) -> bool:
+    """False when the long-path or far-end rule of the enumeration turns
+    this whole leaf-rooted sequence away, its root's height being h, as the
+    enumeration first ran them: one pass over the vertices after the spine
+    0, 1, .., h, with the far-end rule read once at the end."""
+    n = len(seq)
+    if h + 1 == n:
+        return True
+    b = k = parent[h + 1]
+    for v in range(h + 1, n):
+        if parent[v] <= h:
+            k = parent[v]  # v starts the branch at spine vertex k
+        if seq[v] > 2 * k:
+            return False
+    return h - k <= b
 
 
 def free_tree_parents_oracle(n: int) -> np.ndarray:

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -15,7 +16,6 @@ from spectree.closedform import (
     quad_roots,
     star_product_spectrum,
     t1st_line_laplacian_spectrum,
-    t1st_q_spectrum_m2,
     windmill_product_spectrum,
     windmill_q_quadratic,
     wprime_algebraic_connectivity,
@@ -73,13 +73,6 @@ def test_t1st_line_laplacian_closed_vs_direct():
             assert closed.dimension == s + t + 1
 
 
-def test_t1st_q_spectrum_m2_vs_direct():
-    for s, t in ((1, 1), (2, 2), (3, 2), (4, 3)):
-        closed = t1st_q_spectrum_m2(s, t)
-        direct = group_spectrum(eigenvalues(q_matrix(line_graph(tkst_tree(1, s, t))[0], 2)))
-        assert spectra_equal(closed, direct, 1e-9)
-
-
 def test_cubic_roots_match_numpy():
     for s, t, m in ((2, 2, 2), (3, 3, 2), (4, 2, 3), (5, 5, 4), (1, 1, 2)):
         cub = integrality_cubic(s, t, m)
@@ -109,6 +102,42 @@ def test_cubic_is_the_charpoly_of_the_quotient_symbolically():
         at = dict(zip((s, t, m), st_m))
         want = sorted(complex(r).real for r in quot.subs(at).charpoly(x).nroots())
         assert integrality_cubic(*st_m).roots() == pytest.approx(want, abs=1e-9)
+
+
+def _int_charpoly(sympy, mat, x):
+    # the float matrices here hold small integers exactly
+    return sympy.Matrix(np.rint(mat).astype(int).tolist()).charpoly(x).as_expr()
+
+
+def test_windmill_and_wprime_quadratics_divide_the_charpolys():
+    """windmill_q_quadratic is the charpoly of the 2x2 quotient of
+    Q_{m-1}(W) on {hub, blade vertices}: checked on a grid, which settles
+    the identity since both coefficients have degree <= 1 in eta and <= 2
+    in mu and in m. And on five (eta, mu, m), each quadratic divides the
+    characteristic polynomial of the matrix whose roots it carries: wind1
+    Lap(W'), wind2 and wind3 Q_{m-1}(W'), the windmill's Q_{m-1}(W)."""
+    sympy = pytest.importorskip("sympy")
+    eta, mu, m, x = sympy.symbols("eta mu m x")
+    quot = sympy.Matrix(
+        [
+            [(m - 1) * eta * (mu - 1), eta * (mu - 1)],
+            [1, (m - 1) * (mu - 1) + mu - 2],
+        ]
+    )
+    _, minus_p, q = quot.charpoly(x).all_coeffs()
+    for point in itertools.product((2, 3), (3, 4, 5), (2, 3, 4)):
+        at = dict(zip((eta, mu, m), point))
+        assert (-minus_p.subs(at), q.subs(at)) == windmill_q_quadratic(*point), point
+    for e, u, k in ((2, 3, 2), (3, 3, 3), (3, 4, 2), (4, 3, 4), (2, 5, 3)):
+        lap = _int_charpoly(sympy, laplacian(wprime_graph(e, u)), x)
+        qw = _int_charpoly(sympy, q_matrix(wprime_graph(e, u), k), x)
+        quads = wprime_quadratics(e, u, k)
+        for poly, name in ((lap, "wind1"), (qw, "wind2"), (qw, "wind3")):
+            p, c = quads[name]
+            assert sympy.rem(poly, x**2 - p * x + c, x) == 0, (e, u, k, name)
+        p, c = windmill_q_quadratic(e, u, k)
+        qm = _int_charpoly(sympy, q_matrix(windmill_graph(e, u), k), x)
+        assert sympy.rem(qm, x**2 - p * x + c, x) == 0, (e, u, k)
 
 
 def test_cubic_332_is_integral():

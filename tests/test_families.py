@@ -15,7 +15,6 @@ from spectree.closedform import (
     is_beta_laplacian_integral,
     star_product_spectrum,
     t1st_line_laplacian_spectrum,
-    t1st_q_spectrum_m2,
     windmill_product_spectrum,
     windmill_q_quadratic,
     wprime_algebraic_connectivity,
@@ -68,6 +67,7 @@ from _oracles import (
     kron_adjacency_oracle,
     leaf_rooted_sequences_oracle,
     line_graph_oracle,
+    may_come_first_oracle,
     prufer_to_tree,
     random_prufer_tree,
     representative_oracle,
@@ -178,7 +178,6 @@ _INT_PARAMS = {
     "a_beta_m": (a_beta_m, (_TREE, 3), (None, ("m", 2))),
     "eigvec_lift_check": (eigvec_lift_check, (_P4, 3), (None, ("m", 2))),
     "star_product_spectrum": (star_product_spectrum, (4, 3), (("n", 3), ("m", 2))),
-    "t1st_q_spectrum_m2": (t1st_q_spectrum_m2, (2, 3), (("s", 1), ("t", 1))),
     "t1st_line_laplacian_spectrum": (t1st_line_laplacian_spectrum, (2, 3), (("s", 1), ("t", 1))),
     "CubicCoeffs": (CubicCoeffs, (23, 165, 369, 2, 3, 3), (("a", None), ("b", None), ("c", None), ("s", 1), ("t", 1), ("m", 2))),
     "integer_roots_of_monic_cubic": (integer_roots_of_monic_cubic, (6, 11, 6), (("a", None), ("b", None), ("c", None))),
@@ -391,12 +390,19 @@ def test_canonical_form_is_isomorphism_invariant():
 
 
 def test_leaf_rooted_sequences_match_the_unfused_rule():
-    # the generator updates its lists in place, so copy each pair it yields
-    for n in range(1, 13):
-        got = [(seq[:], parent[:]) for seq, parent in families._leaf_rooted_level_sequences(n)]
-        assert got == list(leaf_rooted_sequences_oracle(n)), n
+    """The generator yields exactly the leaf-rooted sequences of the
+    unfused successor rule that the whole-sequence filter keeps, each with
+    its root's height, in the same order: skipping every extension of a
+    failing prefix drops none that the filter keeps."""
+    for n in range(1, 15):
+        every = list(leaf_rooted_sequences_oracle(n))
         # rooted trees on n - 1 vertices (OEIS A000081)
-        assert len(got) == (1, 1, 1, 2, 4, 9, 20, 48, 115, 286, 719, 1842)[n - 1]
+        assert len(every) == (1, 1, 1, 2, 4, 9, 20, 48, 115, 286, 719, 1842, 4766, 12486)[n - 1]
+        want = [(parent, max(seq)) for seq, parent in every if may_come_first_oracle(seq, parent, max(seq))]
+        # the generator updates its list in place, so copy each one it yields
+        got = [(parent[:], h) for parent, h in families._first_candidates(n)]
+        assert got == want, n
+    assert len(got) == 4409  # at n = 14, of 12,486
 
 
 def test_canonical_form_matches_enumeration_keys(monkeypatch):
@@ -456,36 +462,17 @@ def _diameter(parent):
     return farthest(farthest(0)[0])[1]
 
 
-def test_turned_away_sequences_are_long_or_already_keyed(monkeypatch):
-    """Each leaf-rooted sequence the enumeration does not key has a path
-    longer than its root's height h, or its tree's key was stored from an
-    earlier sequence: neither rule drops a first sequence."""
-    events = {}  # n -> [parent, h, key or None] per sequence, in generator order
-    generate, spine_key = families._leaf_rooted_level_sequences, families._spine_key
-
-    def logged(n):
-        for seq, parent in generate(n):
-            events[n].append([parent[:], max(seq), None])
-            yield seq, parent
-
-    def record(parent, h):
-        last = events[len(parent)][-1]
-        assert parent == last[0] and h == last[1]
-        last[2] = key = spine_key(parent, h)
-        return key
-
-    monkeypatch.setattr(families, "_leaf_rooted_level_sequences", logged)
-    monkeypatch.setattr(families, "_spine_key", record)
+def test_turned_away_sequences_are_long_or_already_keyed():
+    """Each leaf-rooted sequence the whole-sequence filter turns away has
+    a path longer than its root's height h, or its tree's key was stored
+    from an earlier sequence the filter kept: neither rule drops a first
+    sequence."""
     for n in range(1, 12):
-        events[n] = []
-        families._free_tree_parents(n)
-    monkeypatch.undo()
-
-    for n, seqs in events.items():
         stored, long_paths, repeats = set(), 0, 0
-        for parent, h, key in seqs:
-            if key is not None:
-                stored.add(key)
+        for seq, parent in leaf_rooted_sequences_oracle(n):
+            h = max(seq)
+            if may_come_first_oracle(seq, parent, h):
+                stored.add(families._spine_key(parent, h))
             elif _diameter(parent) > h:
                 long_paths += 1
             else:
@@ -531,6 +518,25 @@ def test_canonical_form_of_caterpillars(legs):
     rng = np.random.default_rng(len(legs))
     for _ in range(20):
         assert tree_canonical_form(_relabel(rng, tree)) == key
+
+
+def test_canonical_form_orders_equal_heights_by_encoding():
+    """Below the center the key joins children in the order the preorder
+    lists them, so tree_canonical_form must list them by encoding, not by
+    height alone. On the path 0..10, vertex 4 carries a branch with two
+    leaves and one with a single leaf: equal heights, different encodings,
+    and either branch may get the smaller labels, so a height order that
+    keeps label order among equals lists the one-leaf branch first in one
+    of the two."""
+    for two, one in ((11, 14), (13, 11)):
+        edges = [(i, i + 1) for i in range(10)]
+        edges += [(4, two), (two, two + 1), (two, two + 2), (4, one), (one, one + 1)]
+        tree = from_edge_list(16, edges)
+        key = tree_key_oracle(tree)
+        assert tree_canonical_form(tree) == key
+        rng = np.random.default_rng(two)
+        for _ in range(10):
+            assert tree_canonical_form(_relabel(rng, tree)) == key
 
 
 def test_enumeration_keeps_largest_level_sequence():
