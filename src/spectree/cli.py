@@ -17,7 +17,15 @@ import sys
 import numpy as np
 
 from .eigen import eigenvalues, group_spectrum, spectrum_to_dict
-from .families import _free_tree_parents, build, line_graph, parse_family, tkst_tree
+from .families import (
+    _check_parent_rows,
+    _edge_keys,
+    _free_tree_parents,
+    build,
+    line_graph,
+    parse_family,
+    tkst_tree,
+)
 from .graphs import Graph, is_tree, load_graph
 from .spectra import (
     a_beta_m,
@@ -128,7 +136,11 @@ def _cmd_verify(parser, args) -> int:
     for cid in claims:
         reports.extend(run_claim(cid, max_n=args.max_n, m=args.m))
     if args.format == "json":
-        print(json.dumps([r.to_dict() for r in reports]))
+        # the bytes of json.dumps of the list of dicts, one report's dict
+        # and text alive at a time
+        for i, r in enumerate(reports):
+            sys.stdout.write((", " if i else "[") + json.dumps(r.to_dict()))
+        print("]")
     else:
         for r in reports:
             print(r.to_text())
@@ -167,10 +179,7 @@ def _cmd_enumerate(parser, args) -> int:
     elif fmt == "csv":
         out.write("index,edges\n")
     for lo in range(0, len(parents), _ENUM_CHUNK):
-        # tree i's edges are (parent[v], v) for v >= 1; sorting u * n + v
-        # orders them by (parent, child) and indexes their cells
-        keys = np.sort(parents[lo:lo + _ENUM_CHUNK, 1:] * n + np.arange(1, n), axis=1)
-        trees = cells[keys].tolist()
+        trees = cells[_edge_keys(parents[lo:lo + _ENUM_CHUNK])].tolist()
         if fmt == "csv":
             out.write("".join(f"{i}," + " ".join(es) + "\n" for i, es in enumerate(trees, start=lo)))
         elif fmt == "json":
@@ -181,21 +190,6 @@ def _cmd_enumerate(parser, args) -> int:
     if fmt == "json":
         out.write("]}\n")
     return 0
-
-
-def _check_parent_rows(parents: np.ndarray, n: int) -> None:
-    """Raise unless every row is a preorder parent array of a tree on n
-    vertices: row[0] = -1 and 0 <= row[v] < v for v >= 1, so each vertex
-    but 0 has one edge to an earlier vertex."""
-    ok = (parents >= 0) & (parents < np.arange(n))
-    ok[:, 0] = parents[:, 0] == -1
-    bad = np.argwhere(~ok)
-    if len(bad):
-        i, v = bad[0]
-        raise ValueError(
-            f"tree {i} on n = {n} vertices has parent {parents[i, v]} at vertex {v}; "
-            "a preorder parent array has -1 at vertex 0 and 0 <= parent < v at each vertex v >= 1"
-        )
 
 
 def _parse_range(parser, text: str, lo_min: int, what: str) -> range:

@@ -12,7 +12,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .graphs import Graph, _bfs, _check_ints, edge_list, from_edge_list, is_tree
+from .graphs import Graph, _bfs, _check_ints, _edge_arrays, from_edge_list, is_tree
 
 __all__ = [
     "FamilyDescriptor",
@@ -179,15 +179,23 @@ def line_graph(g: Graph) -> tuple[Graph, tuple[tuple[int, int], ...]]:
     Returns (L(g), edge_map) where edge_map[i] is the edge of g that became
     vertex i.
     """
-    emap = tuple(edge_list(g))
-    m = len(emap)
-    if m == 0:
+    u, v = _edge_arrays(g)
+    if not len(u):
         raise ValueError("line graph needs at least one edge")
-    inc = np.zeros((g.n, m), dtype=np.int64)
-    for i, (u, v) in enumerate(emap):
-        inc[u, i] = inc[v, i] = 1
-    shared = inc.T @ inc  # off-diagonal entry = number of shared endpoints
-    return Graph(shared == 1), emap
+    return Graph(_line_adj(u, v)), tuple(zip(u.tolist(), v.tolist()))
+
+
+def _line_adj(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Adjacency of each line graph in a stack, given the endpoints of
+    each graph's edges: edge i of graph j is (u[j, i], v[j, i]), for
+    arrays of shape (..., k). Two distinct edges are adjacent iff they
+    share an endpoint; shape (..., k, k)."""
+    a, b = u[..., :, None], v[..., :, None]
+    c, d = u[..., None, :], v[..., None, :]
+    adj = (a == c) | (a == d) | (b == c) | (b == d)
+    diag = np.arange(u.shape[-1])
+    adj[..., diag, diag] = False
+    return adj
 
 
 def kronecker(g: Graph, h: Graph) -> Graph:
@@ -293,6 +301,29 @@ def _free_tree_parents(n: int) -> np.ndarray:
         if key not in reps:
             reps[key] = parent[:]
     return np.array([reps[k] for k in sorted(reps)])
+
+
+def _check_parent_rows(parents: np.ndarray, n: int) -> None:
+    """Raise unless every row is a preorder parent array of a tree on n
+    vertices: row[0] = -1 and 0 <= row[v] < v for v >= 1, so each vertex
+    but 0 has one edge to an earlier vertex."""
+    ok = (parents >= 0) & (parents < np.arange(n))
+    ok[:, 0] = parents[:, 0] == -1
+    bad = np.argwhere(~ok)
+    if len(bad):
+        i, v = bad[0]
+        raise ValueError(
+            f"tree {i} on n = {n} vertices has parent {parents[i, v]} at vertex {v}; "
+            "a preorder parent array has -1 at vertex 0 and 0 <= parent < v at each vertex v >= 1"
+        )
+
+
+def _edge_keys(parents: np.ndarray) -> np.ndarray:
+    """Each tree's edges as keys u * n + v, one sorted row per parent
+    array: the edges are (parent[v], v) for v >= 1 with parent[v] < v, so
+    sorting the keys orders them by (u, v), as edge_list does."""
+    n = parents.shape[-1]
+    return np.sort(parents[:, 1:] * n + np.arange(1, n), axis=1)
 
 
 def _first_candidates(n: int):

@@ -109,9 +109,15 @@ def from_edge_list(n: int, edges) -> Graph:
 
 def edge_list(g: Graph) -> list[tuple[int, int]]:
     """Edges as sorted (u, v) pairs with u < v, lexicographic order."""
+    u, v = _edge_arrays(g)
+    return list(zip(u.tolist(), v.tolist()))
+
+
+def _edge_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """The endpoints u and v of edge_list(g), as two int arrays."""
     iu, iv = np.nonzero(g.adj)
     upper = iu < iv
-    return list(zip(iu[upper].tolist(), iv[upper].tolist()))
+    return iu[upper], iv[upper]
 
 
 def degrees(g: Graph) -> np.ndarray:

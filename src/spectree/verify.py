@@ -11,7 +11,7 @@ source material without affecting the report verdict.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,10 +28,13 @@ from .closedform import (
 )
 from .eigen import eigenvalues, second_smallest
 from .families import (
+    _check_parent_rows,
+    _edge_keys,
+    _free_tree_parents,
+    _line_adj,
     book_graph,
     complete_graph,
     diam4_tree,
-    enumerate_free_trees,
     kronecker,
     line_graph,
     star_graph,
@@ -50,7 +53,6 @@ from .graphs import (
     edge_list,
     from_edge_list,
     is_restricted,
-    is_star,
     is_tree,
     min_degree,
 )
@@ -62,7 +64,6 @@ from .spectra import (
     a_beta_m,
     algebraic_connectivity,
     laplacian,
-    product_connected,
     product_laplacian_spectrum_direct,
     q_matrix,
     q_min,
@@ -160,16 +161,17 @@ def _fmt(x: float) -> str:
     return f"{x:.10g}"
 
 
-def _instance(desc, op, bound, observed, informational=False, tol=ROUTE_TOL) -> CheckInstance:
+def _instance(desc, op, bound, observed, informational=False, tol=ROUTE_TOL, note="", requires=True) -> CheckInstance:
     """observed against bound under op: "=" and "<=" pass when the
     deviation (|observed - bound|, or the excess over bound) is within tol;
-    "<" needs observed below bound by more than tol."""
+    "<" needs observed below bound by more than tol. note is appended to
+    the expected text, and the instance passes only if requires holds too."""
     dev = abs(observed - bound) if op == "=" else max(0.0, observed - bound)
     return CheckInstance(
         descriptor=desc,
-        expected=f"{op} {_fmt(bound)}",
+        expected=f"{op} {_fmt(bound)}{note}",
         observed=_fmt(observed),
-        passed=observed < bound - tol if op == "<" else dev <= tol,
+        passed=requires and (observed < bound - tol if op == "<" else dev <= tol),
         informational=informational,
         deviation=dev,
     )
@@ -187,10 +189,6 @@ def _multiset_instance(desc, closed, direct, expected="multisets equal") -> Chec
     )
 
 
-def _edge_str(g: Graph) -> str:
-    return ",".join(f"{u}-{v}" for u, v in edge_list(g))
-
-
 # ---- classification ----
 
 def classify_t1st(tree: Graph):
@@ -199,15 +197,22 @@ def classify_t1st(tree: Graph):
     otherwise."""
     if not is_tree(tree):
         raise ValueError("classification requires a tree")
-    deg = degrees(tree)
-    internal = np.flatnonzero(deg >= 2)
-    if len(internal) != 2:
-        return None
-    u, v = int(internal[0]), int(internal[1])
-    if not tree.adj[u, v]:
-        return None
-    s, t = int(deg[u]) - 1, int(deg[v]) - 1
-    return (max(s, t), min(s, t))
+    s, t = _double_star(degrees(tree))
+    return (int(s), int(t)) if t else None
+
+
+def _double_star(deg: np.ndarray):
+    """(s, t) per tree, for the degree rows (..., n) of trees on n
+    vertices: s >= t >= 1 when the tree is the double star T(1,s,t), and
+    s = t = 0 otherwise.
+
+    T(1,s,t) is the tree with exactly two internal (degree >= 2) vertices,
+    adjacent, of degrees s + 1 and t + 1. Adjacency needs no test: every
+    inner vertex of the path between two vertices of a tree is internal.
+    The degrees sum to 2(n - 1) with n - 2 leaves, so s + t = n - 2."""
+    top = deg.max(axis=-1)
+    double = np.count_nonzero(deg >= 2, axis=-1) == 2
+    return np.where(double, top - 1, 0), np.where(double, deg.shape[-1] - 1 - top, 0)
 
 
 def classify_diam4(tree: Graph):
@@ -245,6 +250,57 @@ def classify_diam4(tree: Graph):
 _SWEEP_CHUNK = 256
 
 
+@dataclass(frozen=True, eq=False)
+class _TreeChunk:
+    """Trees lo, lo + 1, .. of the free trees on n >= 3 vertices, in
+    enumeration order, as the sweep reads them; row i of each array is
+    tree lo + i."""
+
+    lo: int
+    parents: np.ndarray  # (count, n) preorder parent arrays
+    line_adj: np.ndarray  # (count, n - 1, n - 1), vertices in edge_list order
+    degrees: np.ndarray  # (count, n)
+    edges: list[str]  # "u-v,.." in edge_list order
+    star: np.ndarray  # (count,) bool, the star K_{1,n-1}
+    path: np.ndarray  # (count,) bool, the path P_n
+    t1st: tuple[np.ndarray, np.ndarray]  # (s, t) of _double_star
+
+    def connected(self, m: int) -> np.ndarray:
+        """Whether each L(X) x K_m is connected. L(X) is connected, and
+        bipartite iff X is a path (a vertex of degree >= 3 makes a
+        triangle), so by Weichsel's rule, as in product_connected, the
+        product is connected iff m >= 3 or X is not a path."""
+        return ~self.path | (m >= 3)
+
+
+def _tree_chunks(n: int):
+    """The free trees on n >= 3 vertices as _TreeChunk records of up to
+    _SWEEP_CHUNK trees each, built from the enumeration's parent arrays;
+    raises unless every row is a tree's."""
+    parents = _free_tree_parents(n)
+    _check_parent_rows(parents, n)
+    cells = np.array([f"{u}-{v}" for u in range(n) for v in range(n)], dtype=object)
+    for lo in range(0, len(parents), _SWEEP_CHUNK):
+        rows = parents[lo:lo + _SWEEP_CHUNK]
+        keys = _edge_keys(rows)
+        u, v = np.divmod(keys, n)
+        # each vertex but 0 has its parent, plus one edge per child
+        tree = np.arange(len(rows))[:, None] * n
+        deg = np.bincount((tree + rows[:, 1:]).ravel(), minlength=rows.size).reshape(rows.shape)
+        deg[:, 1:] += 1
+        top = deg.max(axis=1)
+        yield _TreeChunk(
+            lo=lo,
+            parents=rows,
+            line_adj=_line_adj(u, v),
+            degrees=deg,
+            edges=[",".join(es) for es in cells[keys].tolist()],
+            star=top == n - 1,
+            path=top <= 2,
+            t1st=_double_star(deg),
+        )
+
+
 def check_theorem_21(max_n: int = 8, ms: tuple[int, ...] = (2, 3)) -> list[VerificationReport]:
     """a(L(X) x K_m) = m-1 exactly for the double stars T(1,s,t), s,t >= 2,
     over every tree with 3 <= n <= max_n; one report per m in ms, in that
@@ -263,34 +319,26 @@ def check_theorem_21(max_n: int = 8, ms: tuple[int, ...] = (2, 3)) -> list[Verif
         _check_ints(2, m=m)
     out: list[list[CheckInstance]] = [[] for _ in ms]
     for n in range(3, max_n + 1):
-        trees = enumerate_free_trees(n)
-        for lo in range(0, len(trees), _SWEEP_CHUNK):
-            chunk = trees[lo:lo + _SWEEP_CHUNK]
-            lgs = [_tree_line_graph(tree) for tree in chunk]  # checks each tree
-            adj = np.stack([lg.adj for lg in lgs])
-            a_l = _aconn(adj)
+        for chunk in _tree_chunks(n):
+            a_l = _aconn(chunk.line_adj)
             try:
-                betas = [_a_beta(adj, a_l, m).tolist() for m in ms]
+                betas = [_a_beta(chunk.line_adj, a_l, m).tolist() for m in ms]
             except RuntimeError as exc:
-                raise RuntimeError(f"n={n}, stack from tree #{lo:02d}: {exc}") from exc
-            for i, (tree, lg) in enumerate(zip(chunk, lgs)):
-                _sweep_instances(f"n={n}#{lo + i:02d}", tree, lg, ms, [b[i] for b in betas], out)
+                raise RuntimeError(f"n={n}, stack from tree #{chunk.lo:02d}: {exc}") from exc
+            for m, a_m, insts in zip(ms, betas, out):
+                insts.extend(_sweep_instances(n, m, chunk, a_m))
     return [VerificationReport("thm-2.1", ROUTE_TOL, tuple(insts)) for insts in out]
 
 
-def _sweep_instances(name, tree, lg, ms, a_ms, out) -> None:
-    """Append the thm-2.1 instance of one tree, with line graph lg, to
-    each list in out: one per m in ms, where a_ms holds a(L x K_m)."""
-    n = tree.n
-    edges = _edge_str(tree)
-    cls = classify_t1st(tree)
-    star = is_star(tree)
-    path = int(degrees(tree).max()) <= 2
-    for m, a, insts in zip(ms, a_ms, out):
-        desc = f"m={m} {name} {edges}"
-        connected = product_connected(lg, m)
+def _sweep_instances(n, m, chunk, a_m):
+    """The thm-2.1 instances at m of the trees on n vertices in chunk,
+    where a_m holds each tree's a(L x K_m)."""
+    bound = float(m - 1)
+    cols = (a_m, chunk.edges, chunk.path.tolist(), chunk.star.tolist(), *(c.tolist() for c in chunk.t1st))
+    for i, (a, edges, path, star, s, t, connected) in enumerate(zip(*cols, chunk.connected(m).tolist())):
+        desc = f"m={m} n={n}#{chunk.lo + i:02d} {edges}"
         if path and m == 2:
-            inst = CheckInstance(
+            yield CheckInstance(
                 descriptor=desc + " [path]",
                 expected="disconnected product, a = 0",
                 observed=f"connected={connected}, a={_fmt(a)}",
@@ -300,15 +348,11 @@ def _sweep_instances(name, tree, lg, ms, a_ms, out) -> None:
         elif star:
             ex = second_smallest(star_product_spectrum(n, m))
             note = " (= m-1 here)" if ex == m - 1 else ""
-            inst = _instance(desc + f" [star{note}]", "=", ex, a)
-            inst = replace(inst, expected=inst.expected + " (clique product)", passed=inst.passed and connected)
-        elif cls is not None and cls[1] >= 2:
-            s, t = cls
-            inst = _instance(desc + f" [T(1,{s},{t})]", "=", float(m - 1), a)
+            yield _instance(desc + f" [star{note}]", "=", ex, a, note=" (clique product)", requires=connected)
+        elif t >= 2:
+            yield _instance(desc + f" [T(1,{s},{t})]", "=", bound, a)
         else:
-            inst = _instance(desc, "<", float(m - 1), a)
-            inst = replace(inst, passed=inst.passed and connected)
-        insts.append(inst)
+            yield _instance(desc, "<", bound, a, requires=connected)
 
 
 def check_case_bounds_thm21() -> VerificationReport:
@@ -620,10 +664,8 @@ def check_corollary_31(tree: Graph, m: int) -> VerificationReport:
         bound = wprime_algebraic_connectivity(eta, mu + 1, m)
         out.append(_instance(f"diam4 eta={eta} xs={xs} m={m} mu={mu}: a within (m-1)-scaled root", "<=", bound, a))
         literal = wprime_algebraic_connectivity(eta, mu + 1, 2)  # unscaled small root
-        inst = _instance(
-            f"diam4 eta={eta} xs={xs} m={m} mu={mu}: literal unscaled bound", "<=", literal, a, informational=True
-        )
-        out.append(replace(inst, expected=inst.expected + " (as printed, no (m-1) factor)"))
+        desc = f"diam4 eta={eta} xs={xs} m={m} mu={mu}: literal unscaled bound"
+        out.append(_instance(desc, "<=", literal, a, informational=True, note=" (as printed, no (m-1) factor)"))
     return VerificationReport("cor-3.1", ROUTE_TOL, tuple(out))
 
 

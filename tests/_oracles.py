@@ -10,7 +10,8 @@ arrays from the unfused successor rule and a separate parent walk, the
 sequences it keys from a filter run on each whole sequence rather than a
 skip of every extension of a failing prefix, its representatives from
 keying every leaf-rooted sequence whose root is peripheral, found by a
-pass over every vertex's deepest branch, the
+pass over every vertex's deepest branch, double stars from their two
+internal vertices tested for adjacency, the
 `enumerate` command's output from each tree's Graph, its edges read back
 from the stacked adjacency matrices and written through json.dumps,
 eigenvalues from a cyclic Jacobi iteration
@@ -211,6 +212,17 @@ def line_graph_oracle(g: Graph) -> Graph:
             if set(edges[i]) & set(edges[j]):
                 le.append((i, j))
     return from_edge_list(max(len(edges), 1), le) if edges else from_edge_list(1, [])
+
+
+def double_star_oracle(tree: Graph):
+    """(s, t) with s >= t when the tree is T(1,s,t), read off its two
+    internal vertices, which must be adjacent; None otherwise."""
+    deg = tree.adj.sum(axis=1)
+    internal = [v for v in range(tree.n) if deg[v] >= 2]
+    if len(internal) != 2 or not tree.adj[internal[0], internal[1]]:
+        return None
+    s, t = sorted((int(deg[v]) - 1 for v in internal), reverse=True)
+    return (s, t)
 
 
 class _UnionFind:

@@ -301,6 +301,15 @@ def test_line_graph_matches_definition():
         assert list(emap) == edge_list(g)
 
 
+@PROPERTY
+@given(general_graphs())
+def test_line_graph_matches_definition_on_general_graphs(g):
+    if g.edge_count:
+        lg, emap = line_graph(g)
+        np.testing.assert_array_equal(lg.adj, line_graph_oracle(g).adj)
+        assert list(emap) == edge_list(g)
+
+
 def test_line_graph_known_shapes():
     assert np.array_equal(line_graph(star_graph(5))[0].adj, complete_graph(4).adj)  # L(K_{1,4}) = K_4
     lp = line_graph(path_graph(6))[0]

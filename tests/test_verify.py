@@ -5,18 +5,22 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from spectree import spectra, verify
 from spectree.families import (
+    _free_tree_parents,
     complete_graph,
     diam4_tree,
     enumerate_free_trees,
+    line_graph,
     path_graph,
     star_graph,
     tkst_tree,
 )
-from spectree.graphs import edge_list, from_edge_list
-from spectree.spectra import ROUTE_TOL
+from spectree.graphs import degrees, edge_list, from_edge_list, is_star
+from spectree.spectra import ROUTE_TOL, a_beta_m, product_connected
 from spectree.verify import (
     ALL_CLAIMS,
     CheckInstance,
@@ -31,6 +35,9 @@ from spectree.verify import (
     reproduce_table2,
     run_claim,
 )
+
+from _oracles import double_star_oracle, prufer_to_tree
+from _strategies import PROPERTY
 
 
 def _relabel(g, perm):
@@ -259,6 +266,86 @@ def test_thm_21_names_the_stack_of_a_tree_whose_routes_disagree(monkeypatch):
     check_theorem_21(5, (3,))
     with pytest.raises(RuntimeError, match="^n=6, stack from tree #00: tree 3 of the stack: "):
         check_theorem_21(6, (3,))
+
+
+@pytest.mark.parametrize("tree, vertex, parent", [
+    (5, 6, 6),    # parent[v] >= v: not an earlier vertex
+    (17, 4, -1),  # a second root
+    (0, 0, 0),    # no root
+])
+def test_thm_21_rejects_a_row_that_is_not_a_tree(monkeypatch, tree, vertex, parent):
+    # the sweep reads the enumeration's parent rows through the same check
+    # as the enumerate command, which stands in for is_tree on each tree
+    real = verify._free_tree_parents
+
+    def broken(n):
+        parents = real(n)
+        if n == 8:
+            parents[tree, vertex] = parent
+        return parents
+
+    monkeypatch.setattr(verify, "_free_tree_parents", broken)
+    problem = f"tree {tree} on n = 8 vertices has parent {parent} at vertex {vertex}; "
+    with pytest.raises(ValueError, match=f"^{re.escape(problem)}"):
+        check_theorem_21(8)
+
+
+def test_tree_chunks_match_each_trees_graph():
+    # every tree with 3 <= n <= 12 (n = 12 spans three chunks): the
+    # record's line graph, edge string, degrees, classes and product
+    # connectivity against those of the tree's Graph, connectivity by BFS
+    for n in range(3, 13):
+        trees = enumerate_free_trees(n)
+        chunks = list(verify._tree_chunks(n))
+        assert [c.lo for c in chunks] == list(range(0, len(trees), verify._SWEEP_CHUNK))
+        np.testing.assert_array_equal(np.concatenate([c.parents for c in chunks]), _free_tree_parents(n))
+        for chunk in chunks:
+            assert chunk.line_adj.dtype == bool and chunk.line_adj.shape[1:] == (n - 1, n - 1)
+            s, t = chunk.t1st
+            connected = {m: chunk.connected(m).tolist() for m in (2, 3)}
+            for i, tree in enumerate(trees[chunk.lo:chunk.lo + len(chunk.parents)]):
+                lg = line_graph(tree)[0]
+                where = (n, chunk.lo + i)
+                assert np.array_equal(chunk.line_adj[i], lg.adj), where
+                assert chunk.edges[i] == ",".join(f"{u}-{v}" for u, v in edge_list(tree)), where
+                deg = degrees(tree)
+                assert chunk.degrees[i].tolist() == deg.tolist(), where
+                want = double_star_oracle(tree)
+                assert classify_t1st(tree) == want, where
+                assert (int(s[i]), int(t[i])) == (want or (0, 0)), where
+                assert chunk.star[i] == is_star(tree), where
+                assert chunk.path[i] == (deg.max() <= 2), where
+                for m in (2, 3):
+                    assert connected[m][i] == product_connected(lg, m), (*where, m)
+
+
+@st.composite
+def _large_trees(draw):
+    """A tree from a Prufer sequence on 3 to 40 vertices, or a planted
+    double star T(1,s,s), alone or with one pendant hung on a leaf."""
+    kind = draw(st.sampled_from(("prufer", "double star", "double star + pendant")))
+    if kind == "prufer":
+        n = draw(st.integers(3, 40))
+        return prufer_to_tree(n, draw(st.lists(st.integers(0, n - 1), min_size=n - 2, max_size=n - 2)))
+    s = draw(st.integers(1, 18))
+    tree = tkst_tree(1, s, s)
+    if kind == "double star":
+        return tree
+    return from_edge_list(tree.n + 1, edge_list(tree) + [(tree.n - 1, tree.n)])
+
+
+@PROPERTY
+@given(_large_trees())
+def test_thm_21_holds_past_the_exhaustive_range(tree):
+    # a(L x K_m) = m - 1 on the double stars T(1,s,t) with t >= 2, and
+    # below m - 1 by more than ROUTE_TOL on every other tree but a star
+    cls = classify_t1st(tree)
+    for m in (2, 3):
+        a = a_beta_m(tree, m)
+        if cls is not None and cls[1] >= 2:
+            assert abs(a - (m - 1)) <= ROUTE_TOL, (cls, m, a)
+        elif not is_star(tree):
+            assert a < m - 1 - ROUTE_TOL, (edge_list(tree), m, a)
 
 
 def test_thm_21_single_m_run_matches_the_default_run():
