@@ -1,6 +1,12 @@
 """Closed-form spectra for the studied families, with exact integrality
 tests for the double-star product.
 
+Each closed form lists its characteristic polynomial's integer factors
+once, with multiplicities: (c, k) is (x - c)^k and ((p, q), k) is
+(x^2 - p x + q)^k. A product X x K_m is listed as the factors of Lap(X)
+and of Q_{m-1}(X), and spec(X x K_m) = (m-1) spec Lap(X) u (m-1) x spec
+Q_{m-1}(X).
+
 Every function here has an independent numeric twin (assemble the graph,
 eigensolve) exercised by the test suite; the two routes are kept separate
 on purpose.
@@ -9,7 +15,7 @@ on purpose.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,30 +51,47 @@ def quad_roots(p: float, q: float) -> tuple[float, float]:
     return (p - r) / 2.0, (p + r) / 2.0
 
 
+def _roots(factors) -> list[tuple[float, int]]:
+    # (root, multiplicity) pairs of a factor list, a quadratic's through
+    # quad_roots
+    pairs = []
+    for f, k in factors:
+        if isinstance(f, tuple):
+            lo, hi = quad_roots(float(f[0]), float(f[1]))
+            pairs += [(lo, k), (hi, k)]
+        else:
+            pairs.append((float(f), k))
+    return pairs
+
+
+def _product_spectrum(lap, q, m: int) -> Spectrum:
+    # X x K_m from the factors of Lap(X), roots scaled by m-1, and of
+    # Q_{m-1}(X), multiplicities times m-1
+    w = m - 1
+    return spectrum_from_pairs([(w * v, k) for v, k in _roots(lap)] + [(v, k * w) for v, k in _roots(q)])
+
+
+def _pendant_bound(d: int, m: int) -> float:
+    # smaller eigenvalue of [[(m-1) d, 1], [1, m-1]], the principal
+    # submatrix of Q_{m-1} on a degree-d vertex and a pendant neighbour
+    return quad_roots(float((m - 1) * (d + 1)), float((m - 1) ** 2 * d - 1))[0]
+
+
 def star_product_spectrum(n: int, m: int) -> Spectrum:
     """Laplacian spectrum of K_{n-1} x K_m, i.e. of the product of the line
     graph of the star on n vertices with K_m."""
     _check_ints(3, n=n)
     _check_ints(2, m=m)
-    pairs = [
-        (0.0, 1),
-        (float((m - 1) * (n - 2) - 1), (n - 2) * (m - 1)),
-        (float(n + (m - 1) * (n - 2) - 2), m - 1),
-        (float((n - 1) * (m - 1)), n - 2),
-    ]
-    return spectrum_from_pairs(pairs)
+    lap = [(0, 1), (n - 1, n - 2)]
+    q = [((m - 1) * (n - 2) - 1, n - 2), (m * (n - 2), 1)]
+    return _product_spectrum(lap, q, m)
 
 
 def t1st_line_laplacian_spectrum(s: int, t: int) -> Spectrum:
     """Laplacian spectrum of L(T(1,s,t)), two cliques K_{s+1}, K_{t+1}
     sharing a vertex: {0, 1, (s+1)^(s-1), (t+1)^(t-1), s+t+1}."""
     _check_ints(1, s=s, t=t)
-    pairs = [(0.0, 1), (1.0, 1), (float(s + t + 1), 1)]
-    if s >= 2:
-        pairs.append((float(s + 1), s - 1))
-    if t >= 2:
-        pairs.append((float(t + 1), t - 1))
-    return spectrum_from_pairs(pairs)
+    return spectrum_from_pairs(_roots([(0, 1), (1, 1), (s + 1, s - 1), (t + 1, t - 1), (s + t + 1, 1)]))
 
 
 # ---- double-star product integrality ----
@@ -76,25 +99,21 @@ def t1st_line_laplacian_spectrum(s: int, t: int) -> Spectrum:
 @dataclass(frozen=True)
 class CubicCoeffs:
     """Monic cubic x^3 - a x^2 + b x - c carrying the non-fixed part of the
-    Q_{m-1}(L(T(1,s,t))) spectrum; coefficients are exact integers, and
-    must be the cubic of s, t and m."""
+    Q_{m-1}(L(T(1,s,t))) spectrum; the exact integer coefficients are
+    computed from s, t and m."""
 
-    a: int
-    b: int
-    c: int
     s: int
     t: int
     m: int
+    a: int = field(init=False)
+    b: int = field(init=False)
+    c: int = field(init=False)
 
     def __post_init__(self):
-        _check_ints(None, a=self.a, b=self.b, c=self.c)
         _check_ints(1, s=self.s, t=self.t)
         _check_ints(2, m=self.m)
-        for name, got, want in zip("abc", (self.a, self.b, self.c), _cubic(self.s, self.t, self.m)):
-            if got != want:
-                raise ValueError(
-                    f"{name} must be {want} for s={self.s}, t={self.t}, m={self.m}, got {got}"
-                )
+        for name, v in zip("abc", _cubic(self.s, self.t, self.m)):
+            object.__setattr__(self, name, v)
 
     def roots(self) -> tuple[float, float, float]:
         """Numeric roots, ascending: eigenvalues of the symmetrized 3x3
@@ -135,9 +154,7 @@ def _cubic(s: int, t: int, m: int) -> tuple[int, int, int]:
 def integrality_cubic(s: int, t: int, m: int) -> CubicCoeffs:
     """The cubic factor deciding whether Lap(L(T(1,s,t)) x K_m) is integral
     (all other eigenvalues of that product are integers automatically)."""
-    _check_ints(1, s=s, t=t)
-    _check_ints(2, m=m)
-    return CubicCoeffs(*_cubic(s, t, m), s=s, t=t, m=m)
+    return CubicCoeffs(s, t, m)
 
 
 def _divisors(n: int) -> list[int]:
@@ -219,22 +236,10 @@ def windmill_q_quadratic(eta: int, mu: int, m: int) -> tuple[int, int]:
 
 def windmill_product_spectrum(eta: int, mu: int, m: int) -> Spectrum:
     """Laplacian spectrum of W(eta, mu) x K_m in closed form."""
-    p, q = windmill_q_quadratic(eta, mu, m)  # checks eta, mu and m
-    w = m - 1
-    lo, hi = quad_roots(float(p), float(q))
-    pairs = [
-        # (m-1) * Lap(W) part, weight 1
-        (0.0, 1),
-        (float(w), eta - 1),
-        (float(w * mu), eta * (mu - 2)),
-        (float(w * (eta * mu - eta + 1)), 1),
-        # Q_{m-1}(W) part, weight m-1
-        (float(w * (mu - 1) - 1), eta * (mu - 2) * w),
-        (float(w * (mu - 1) + mu - 2), (eta - 1) * w),
-        (lo, w),
-        (hi, w),
-    ]
-    return spectrum_from_pairs(pairs)
+    quad = windmill_q_quadratic(eta, mu, m)  # checks eta, mu and m
+    lap = [(0, 1), (1, eta - 1), (mu, eta * (mu - 2)), (eta * mu - eta + 1, 1)]
+    q = [((m - 1) * (mu - 1) - 1, eta * (mu - 2)), (m * (mu - 1) - 1, eta - 1), (quad, 1)]
+    return _product_spectrum(lap, q, m)
 
 
 # ---- windmills with separated blade centers ----
@@ -261,24 +266,9 @@ def wprime_quadratics(eta: int, mu: int, m: int) -> dict[str, tuple[int, int]]:
 def wprime_product_spectrum(eta: int, mu: int, m: int) -> Spectrum:
     """Laplacian spectrum of W'(eta, mu) x K_m in closed form."""
     quads = wprime_quadratics(eta, mu, m)  # checks eta, mu and m
-    w = m - 1
-    l1, l2 = quad_roots(*(float(x) for x in quads["wind1"]))
-    q1, q2 = quad_roots(*(float(x) for x in quads["wind2"]))
-    r1, r2 = quad_roots(*(float(x) for x in quads["wind3"]))
-    pairs = [
-        # (m-1) * Lap(W') part, weight 1
-        (0.0, 1),
-        (float(w * mu), 1 + eta * (mu - 2)),
-        (w * l1, eta - 1),
-        (w * l2, eta - 1),
-        # Q_{m-1}(W') part, weight m-1
-        (float(w * (mu - 1) - 1), eta * (mu - 2) * w),
-        (q1, (eta - 1) * w),
-        (q2, (eta - 1) * w),
-        (r1, w),
-        (r2, w),
-    ]
-    return spectrum_from_pairs(pairs)
+    lap = [(0, 1), (mu, 1 + eta * (mu - 2)), (quads["wind1"], eta - 1)]
+    q = [((m - 1) * (mu - 1) - 1, eta * (mu - 2)), (quads["wind2"], eta - 1), (quads["wind3"], 1)]
+    return _product_spectrum(lap, q, m)
 
 
 def wprime_algebraic_connectivity(eta: int, mu: int, m: int) -> float:
@@ -287,9 +277,8 @@ def wprime_algebraic_connectivity(eta: int, mu: int, m: int) -> float:
     Only claimed for eta >= 3, mu >= 3; eta = 2 is rejected (the statement
     does not cover it)."""
     _check_ints(3, eta=eta, mu=mu)
-    _check_ints(2, m=m)
-    lo, _ = quad_roots(float(mu + eta), float(eta))
-    return (m - 1) * lo
+    p, q = wprime_quadratics(eta, mu, m)["wind1"]  # checks m
+    return (m - 1) * quad_roots(float(p), float(q))[0]
 
 
 # ---- books ----
@@ -297,16 +286,13 @@ def wprime_algebraic_connectivity(eta: int, mu: int, m: int) -> float:
 def book_line_laplacian_spectrum(k: int) -> Spectrum:
     """Laplacian spectrum of the line graph of the book K_{1,k} x-box K_2."""
     _check_ints(1, k=k)
-    lo, hi = quad_roots(float(k + 4), float(2 * k + 2))  # disc = k^2 + 8
-    so, si = quad_roots(float(2 * k + 4), float(6 * k + 2))  # disc = 4(k^2-2k+2)
-    pairs = [(0.0, 1), (2.0, 1), (so, 1), (si, 1)]
-    if k >= 2:
-        pairs += [(float(k + 2), k - 1), (lo, k - 1), (hi, k - 1)]
-    return spectrum_from_pairs(pairs)
+    # the quadratics' discriminants are k^2 + 8 and 4(k^2 - 2k + 2)
+    return spectrum_from_pairs(
+        _roots([(0, 1), (2, 1), ((2 * k + 4, 6 * k + 2), 1), (k + 2, k - 1), ((k + 4, 2 * k + 2), k - 1)])
+    )
 
 
 def book_aconn_bound(k: int, m: int) -> float:
     """(m-1)(k + 4 - sqrt(k^2 + 8))/2, the scaled small root above."""
     _check_ints(2, k=k, m=m)
-    lo, _ = quad_roots(float(k + 4), float(2 * k + 2))
-    return (m - 1) * lo
+    return (m - 1) * quad_roots(float(k + 4), float(2 * k + 2))[0]

@@ -130,10 +130,11 @@ def q_min(g: Graph, m: int) -> float:
 
 
 def product_connected(g: Graph, m: int) -> bool:
-    """g x K_m is connected iff g is connected and at least one factor is
-    non-bipartite; K_m is non-bipartite exactly when m >= 3."""
+    """g x K_m is connected iff g has an edge, g is connected and at least
+    one factor is non-bipartite (Weichsel); K_m is non-bipartite exactly
+    when m >= 3. A one-vertex g makes m isolated vertices."""
     _check_ints(2, m=m)
-    return is_connected(g) and (m >= 3 or not is_bipartite(g))
+    return g.n >= 2 and is_connected(g) and (m >= 3 or not is_bipartite(g))
 
 
 def a_beta_m(tree: Graph, m: int) -> float:

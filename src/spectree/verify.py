@@ -16,10 +16,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .closedform import (
+    _pendant_bound,
     book_aconn_bound,
     book_line_laplacian_spectrum,
     integrality_cubic,
     is_beta_laplacian_integral,
+    quad_roots,
     star_product_spectrum,
     t1st_line_laplacian_spectrum,
     windmill_product_spectrum,
@@ -359,7 +361,8 @@ def check_case_bounds_thm21() -> VerificationReport:
     """The proof's case analysis for X = T(1,1,t).
 
     t = 1: Q_{m-1}(L(T(1,1,1))) = Q_{m-1}(P_3) has eigenvalues m-1 and
-    (3(m-1) +- sqrt(m^2-2m+9))/2, the smaller strictly below m-1.
+    the roots of x^2 - 3(m-1) x + 2m(m-2), (3(m-1) +- sqrt(m^2-2m+9))/2,
+    the smaller strictly below m-1.
     t >= 2: lambda_min(Q_{m-1}(L(T(1,1,t)))) is at most the smaller
     eigenvalue of the principal submatrix [[(m-1)(t+1), 1], [1, m-1]],
     itself strictly below m-1.
@@ -370,9 +373,7 @@ def check_case_bounds_thm21() -> VerificationReport:
             lg, _ = line_graph(tkst_tree(1, 1, t))
             qv = eigenvalues(q_matrix(lg, m))
             if t == 1:
-                root = math.sqrt(m * m - 2.0 * m + 9.0)
-                lo = (3.0 * (m - 1) - root) / 2.0
-                hi = (3.0 * (m - 1) + root) / 2.0
+                lo, hi = quad_roots(float(3 * (m - 1)), float(2 * m * (m - 2)))
                 closed = np.sort(np.array([float(m - 1), lo, hi]))
                 dev = float(np.max(np.abs(np.sort(qv) - closed)))
                 out.append(
@@ -388,7 +389,7 @@ def check_case_bounds_thm21() -> VerificationReport:
                     _instance(f"m={m} t=1 small root below m-1", "<=", float(m - 1) - ROUTE_TOL, lo, tol=0.0)
                 )
             else:
-                bound = ((m - 1) * (t + 2) - math.sqrt((t * (m - 1)) ** 2 + 4.0)) / 2.0
+                bound = _pendant_bound(t + 1, m)
                 out.append(
                     _instance(f"m={m} t={t} q_min within submatrix bound", "<=", bound, float(qv[0]))
                 )
@@ -492,7 +493,7 @@ def check_theorem_23() -> VerificationReport:
     )
     for m in (2, 3):
         a = algebraic_connectivity(kronecker(hubbed, complete_graph(m)))
-        sub = ((m - 1) * (x + 1) - math.sqrt(((m - 1) * (x - 1)) ** 2 + 4.0)) / 2.0
+        sub = _pendant_bound(x, m)
         out.append(
             _instance(f"windmill:3,3+hub pendant m={m} (delta=1, star structure)", "<", float(m - 1), a)
         )

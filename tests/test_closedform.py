@@ -1,4 +1,4 @@
-import dataclasses
+import hashlib
 import itertools
 import math
 
@@ -8,6 +8,7 @@ import pytest
 from spectree.closedform import (
     CubicCoeffs,
     _cubic,
+    _pendant_bound,
     book_aconn_bound,
     book_line_laplacian_spectrum,
     integer_roots_of_monic_cubic,
@@ -22,13 +23,14 @@ from spectree.closedform import (
     wprime_product_spectrum,
     wprime_quadratics,
 )
-from spectree.eigen import eigenvalues, group_spectrum, spectra_equal
+from spectree.eigen import Spectrum, eigenvalues, group_spectrum, spectra_equal
 from spectree.families import (
     beta_m,
     book_graph,
     complete_graph,
     kronecker,
     line_graph,
+    path_graph,
     star_graph,
     tkst_tree,
     windmill_graph,
@@ -44,6 +46,35 @@ def test_quad_roots():
     assert abs(hi - (1 + math.sqrt(5)) / 2) <= 1e-12
     with pytest.raises(ValueError):
         quad_roots(0.0, 1.0)
+
+
+# each closed form with the ranges of its arguments, over their product
+_CLOSED_FORM_GRID = (
+    (star_product_spectrum, (range(3, 9), range(2, 6))),
+    (t1st_line_laplacian_spectrum, (range(1, 6), range(1, 6))),
+    (windmill_product_spectrum, (range(2, 6), range(3, 7), range(2, 5))),
+    (wprime_product_spectrum, (range(2, 6), range(2, 7), range(2, 5))),
+    (book_line_laplacian_spectrum, (range(1, 11),)),
+    (wprime_algebraic_connectivity, (range(3, 6), range(3, 7), range(2, 5))),
+    (book_aconn_bound, (range(2, 11), range(2, 5))),
+)
+
+
+def test_closed_form_bits_golden():
+    # the closed forms use only Python float arithmetic (math.sqrt, +, *,
+    # /), so every value's bits are the same on every platform; the digest
+    # pins them, each multiplicity, and the arguments that gave them
+    digest = hashlib.sha256()
+    count = 0
+    for fn, ranges in _CLOSED_FORM_GRID:
+        for args in itertools.product(*ranges):
+            out = fn(*args)
+            pairs = out.pairs if isinstance(out, Spectrum) else ((out, 1),)
+            row = " ".join(f"{float(v).hex()}^{k}" for v, k in pairs)
+            digest.update(f"{fn.__name__}{args}: {row}\n".encode())
+            count += 1
+    assert count == 230
+    assert digest.hexdigest() == "57beaf70e77ed173ca6ec4775e2ecac66c4b6fdb85269b7e5b25bb18a4110777"
 
 
 def test_star_product_closed_vs_direct():
@@ -115,7 +146,11 @@ def test_windmill_and_wprime_quadratics_divide_the_charpolys():
     the identity since both coefficients have degree <= 1 in eta and <= 2
     in mu and in m. And on five (eta, mu, m), each quadratic divides the
     characteristic polynomial of the matrix whose roots it carries: wind1
-    Lap(W'), wind2 and wind3 Q_{m-1}(W'), the windmill's Q_{m-1}(W)."""
+    Lap(W'), wind2 and wind3 Q_{m-1}(W'), the windmill's Q_{m-1}(W). The
+    book's factors multiply to the characteristic polynomial of
+    Lap(L(book(k))), so both its quadratics divide it; the thm-2.1-cases
+    P_3 quadratic and the pendant-bound quadratic are the characteristic
+    polynomials of their 2x2 matrices."""
     sympy = pytest.importorskip("sympy")
     eta, mu, m, x = sympy.symbols("eta mu m x")
     quot = sympy.Matrix(
@@ -138,6 +173,22 @@ def test_windmill_and_wprime_quadratics_divide_the_charpolys():
         p, c = windmill_q_quadratic(e, u, k)
         qm = _int_charpoly(sympy, q_matrix(windmill_graph(e, u), k), x)
         assert sympy.rem(qm, x**2 - p * x + c, x) == 0, (e, u, k)
+    for k in range(1, 5):
+        lap = _int_charpoly(sympy, laplacian(line_graph(book_graph(k))[0]), x)
+        factors = x * (x - 2) * (x - k - 2) ** (k - 1) * (x**2 - (2 * k + 4) * x + 6 * k + 2)
+        assert sympy.expand(lap - factors * (x**2 - (k + 4) * x + 2 * k + 2) ** (k - 1)) == 0, k
+    # Q_{m-1}(P_3): m-1 on the end vertices' difference, and the quotient
+    # on {ends, middle} for the rest
+    p3 = sympy.Matrix([[m - 1, 1], [2, 2 * (m - 1)]]).charpoly(x).as_expr()
+    assert sympy.expand(p3 - (x**2 - 3 * (m - 1) * x + 2 * m * (m - 2))) == 0
+    for k in (2, 3, 4, 5):
+        qp = _int_charpoly(sympy, q_matrix(path_graph(3), k), x)
+        assert sympy.expand(qp - (x - k + 1) * p3.subs(m, k)) == 0, k
+    d = sympy.symbols("d")
+    _, minus_p, q = sympy.Matrix([[(m - 1) * d, 1], [1, m - 1]]).charpoly(x).all_coeffs()
+    for point in itertools.product((1, 2, 3, 4), (2, 3, 4)):
+        at = dict(zip((d, m), point))
+        assert _pendant_bound(*point) == quad_roots(float(-minus_p.subs(at)), float(q.subs(at)))[0], point
 
 
 def test_cubic_332_is_integral():
@@ -147,19 +198,16 @@ def test_cubic_332_is_integral():
     np.testing.assert_allclose(cub.roots(), [3.0, 5.0, 8.0], atol=1e-9)
 
 
-def test_cubic_coeffs_must_be_the_cubic_of_s_t_m():
-    # a, b or c off by one would let roots() (from s, t, m) and
-    # integer_roots() (from a, b, c) disagree, so each is rejected by name
+def test_cubic_coeffs_takes_only_s_t_m():
+    # a, b and c are computed from s, t and m, so none of them can be
+    # passed, and roots() and integer_roots() read the same cubic
     cub = integrality_cubic(3, 3, 2)
-    assert CubicCoeffs(16, 79, 120, 3, 3, 2) == cub
+    assert CubicCoeffs(3, 3, 2) == cub
     for name in ("a", "b", "c"):
-        want = getattr(cub, name)
-        for bad in (want - 1, want + 1):
-            fields = {**dataclasses.asdict(cub), name: bad}
-            with pytest.raises(ValueError, match=f"^{name} must be {want} for s=3, t=3, m=2, got {bad}$"):
-                CubicCoeffs(**fields)
-    with pytest.raises(ValueError, match="^a must be 16 for s=3, t=3, m=2, got 15$"):
-        dataclasses.replace(cub, a=15)
+        with pytest.raises(TypeError):
+            CubicCoeffs(3, 3, 2, **{name: getattr(cub, name)})
+    with pytest.raises(TypeError):
+        CubicCoeffs(16, 79, 120, 3, 3, 2)
 
 
 def test_cubic_222_is_not_integral():
@@ -253,6 +301,7 @@ def test_book_aconn_bound():
 
 
 def test_cubic_coeffs_frozen():
-    cub = CubicCoeffs(a=4, b=3, c=0, s=1, t=1, m=2)
+    cub = CubicCoeffs(s=1, t=1, m=2)
+    assert (cub.a, cub.b, cub.c) == (4, 3, 0)
     with pytest.raises(AttributeError):
         cub.a = 5

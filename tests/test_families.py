@@ -179,7 +179,7 @@ _INT_PARAMS = {
     "eigvec_lift_check": (eigvec_lift_check, (_P4, 3), (None, ("m", 2))),
     "star_product_spectrum": (star_product_spectrum, (4, 3), (("n", 3), ("m", 2))),
     "t1st_line_laplacian_spectrum": (t1st_line_laplacian_spectrum, (2, 3), (("s", 1), ("t", 1))),
-    "CubicCoeffs": (CubicCoeffs, (23, 165, 369, 2, 3, 3), (("a", None), ("b", None), ("c", None), ("s", 1), ("t", 1), ("m", 2))),
+    "CubicCoeffs": (CubicCoeffs, (2, 3, 3), (("s", 1), ("t", 1), ("m", 2))),
     "integer_roots_of_monic_cubic": (integer_roots_of_monic_cubic, (6, 11, 6), (("a", None), ("b", None), ("c", None))),
     "integrality_cubic": (integrality_cubic, (2, 3, 3), (("s", 1), ("t", 1), ("m", 2))),
     "is_beta_laplacian_integral": (is_beta_laplacian_integral, (2, 2, 3), (("s", 1), ("t", 1), ("m", 2))),

@@ -116,7 +116,8 @@ def test_q_min_known_values():
 
 
 def test_product_connected_matches_spectral_zero_count():
-    for g in _spot_graphs():
+    # K_1 x K_m has no edge, so it is disconnected at every m
+    for g in [*_spot_graphs(), complete_graph(1)]:
         for m in (2, 3, 4):
             prod = kronecker(g, complete_graph(m))
             vals, _ = jacobi(laplacian(prod))
