@@ -112,7 +112,8 @@ class CubicCoeffs:
     def __post_init__(self):
         _check_ints(1, s=self.s, t=self.t)
         _check_ints(2, m=self.m)
-        for name, v in zip("abc", _cubic(self.s, self.t, self.m)):
+        # as Python ints, in which numpy integers cannot overflow
+        for name, v in zip("abc", _cubic(int(self.s), int(self.t), int(self.m))):
             object.__setattr__(self, name, v)
 
     def roots(self) -> tuple[float, float, float]:
@@ -134,7 +135,7 @@ class CubicCoeffs:
 
 
 def _cubic(s: int, t: int, m: int) -> tuple[int, int, int]:
-    # (a, b, c) of the cubic; s, t and m are checked integers
+    # (a, b, c) of the cubic; s, t and m are checked integers, or symbols
     a = (2 * m - 1) * (s + t) - 2
     b = (
         m * (m - 1) * (s * s + t * t)
@@ -229,6 +230,7 @@ def windmill_q_quadratic(eta: int, mu: int, m: int) -> tuple[int, int]:
     _check_ints(2, eta=eta)
     _check_ints(3, mu=mu)
     _check_ints(2, m=m)
+    eta, mu, m = int(eta), int(mu), int(m)  # numpy integers would overflow
     p = (m - 1) * (mu - 1) * (eta + 1) + mu - 2
     q = eta * (mu - 1) * ((m - 1) * ((m - 1) * (mu - 1) + mu - 2) - 1)
     return p, q
@@ -254,6 +256,7 @@ def wprime_quadratics(eta: int, mu: int, m: int) -> dict[str, tuple[int, int]]:
     wind3: the symmetric-quotient pair of Q_{m-1}(W') (multiplicity 1 each).
     """
     _check_ints(2, eta=eta, mu=mu, m=m)
+    eta, mu, m = int(eta), int(mu), int(m)  # numpy integers would overflow
     base = (m - 1) * (mu + eta - 2)
     col = m * mu - m - 1  # (m-1)(mu-1) + mu - 2
     return {

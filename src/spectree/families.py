@@ -235,7 +235,7 @@ def enumerate_free_trees(n: int) -> list[Graph]:
     The representatives are built at once from the preorder parent arrays
     of _free_tree_parents, through one (count, n, n) adjacency array, and
     come in the same order: sorted by the center-rooted canonical encoding.
-    Deterministic."""
+    Vertex 0 of each is a center. Deterministic."""
     parents = _free_tree_parents(n)
     # in tree i, vertex v >= 1 is joined to up[i, v - 1]
     tree, child, up = np.arange(len(parents))[:, None], np.arange(1, n), parents[:, 1:]
@@ -249,58 +249,73 @@ def _free_tree_parents(n: int) -> np.ndarray:
     (count, n) int array sorted by canonical encoding. Each row is a parent
     array in preorder: row[0] = -1 and 0 <= row[v] < v for v >= 1.
 
-    Rooted trees are generated by the level-sequence successor rule, which
-    hands over each tree's parent array, and reduced to free trees by their
-    center-rooted canonical encoding: a dict maps each new encoding to the
-    parent array of its first tree.
+    The trees come from the free-tree generator of Wright, Richmond,
+    Odlyzko and McKay (SIAM J. Comput. 15, 1986), which emits each free
+    tree exactly once as a canonical level sequence rooted at a center. It
+    runs the Beyer-Hedetniemi successor rule on one list, starting from the
+    path rooted at its center. With m the index of the root's second child,
+    the sequence is kept when the rest of the tree is higher than the left
+    subtree 1..m-1, or as high and (m - 1, left) <= (n - m + 1, rest).
+    Otherwise no sequence with the same left subtree is kept, and the
+    generator jumps past them all: the successor rule runs from the left
+    subtree's last vertex, and when that vertex lay below level 2 the tail
+    becomes the path 1, 2, .., h, which makes the rest higher than the new
+    left subtree of height h - 1.
 
-    Only sequences that can come first for their free tree are generated
-    and keyed, which keeps every representative and the order unchanged:
-    - the generator emits canonical sequences in decreasing lexicographic
-      order;
-    - a canonical sequence lists the deepest child first, so it starts
-      0, 1, .., h with h the root's height;
-    - so a free tree's first sequence has the largest h, its root is a
-      vertex of greatest eccentricity (h = diameter), and for n >= 2 such
-      a peripheral vertex is a leaf.
-    The leaf-rooted sequences whose root's height is the diameter thus
-    hold each free tree's first sequence, in the same relative order.
-
-    The generator (_first_candidates) turns a leaf-rooted sequence away
-    at the first vertex off the spine 0, 1, .., h that breaks either of two
-    rules. Off the spine, preorder lists the branches by the spine vertex k
-    they hang from, in decreasing k.
-    - Long path: a vertex at level l in the branch at k lies
-      (l - k) + (h - k) from vertex h, so l > 2k makes the diameter exceed
-      the root's height h; the root is not peripheral, and the sequence is
-      not first.
-    - Far-end duplicate: let b = parent[h + 1], the largest k, and k the
-      smallest. Rooted at vertex h, the other end of the spine, the tree
-      has a level sequence starting 0, 1, .., h, h - k + 1, and its
-      canonical sequence is at least that. When h - k > b this beats the
-      0, 1, .., h, b + 1 here, so the decreasing generator has already
-      emitted a sequence of the same free tree.
-    Neither rule fires on a first sequence. h, b and the k of each vertex
-    lie in the prefix up to that vertex, so when vertex v breaks a rule,
-    every sequence starting with the same v + 1 levels breaks it too. Those
-    sequences come one after another, the last of them with every vertex
-    after v a leaf at level 2; the generator applies the successor rule to
-    that one and skips them all unseen, none of them a first sequence.
-
-    When the long-path rule lets a sequence through, every vertex lies
-    within h of every other, so 0, 1, .., h is a diametral path: the
-    centers are its middle vertices, and the key re-roots along that path
-    alone (_spine_key). A canonical sequence also lists each vertex's
-    children in increasing encoding, so below the center the key needs no
-    sort.
+    Equal heights mean two centers, vertex 0 and vertex 1. Rooted at vertex
+    1, the old root's subtree is the unique deepest child, so it comes
+    first and the sequence is canonical; the larger of the two is kept.
+    Rows are sorted by decreasing sequence, which is increasing encoding (at
+    the first difference, a deeper next level writes "(" where the other
+    writes ")"). Vertex v's parent is the last earlier vertex one level up.
     """
     _check_ints(1, n=n)
-    reps: dict[str, list[int]] = {}
-    for parent, h in _first_candidates(n):
-        key = _spine_key(parent, h)
-        if key not in reps:
-            reps[key] = parent[:]
-    return np.array([reps[k] for k in sorted(reps)])
+    seq = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
+    kept = bytearray()
+    while True:
+        # the heights of the left subtree, -1 when empty (n = 1), and of the rest
+        m = next((v for v in range(2, n) if seq[v] == 1), n)
+        left, rest = max(seq[1:m], default=0) - 1, max(seq[m:], default=0)
+        # (m - 1, left) <= (n - m + 1, rest), both lists one level up
+        if rest > left or rest == left and (m - 1, seq[1:m]) <= (n - m + 1, [1] + [x + 1 for x in seq[m:]]):
+            if rest == left:
+                kept += bytes(max(seq, [0, 1] + [x + 1 for x in seq[m:]] + [x - 1 for x in seq[2:m]]))
+            else:
+                kept += bytes(seq)
+            p = n - 1
+            while seq[p] == 1:
+                p -= 1
+            if p == 0:
+                break
+            _successor(seq, p)
+        else:
+            p = m - 1
+            tall = seq[p] > 2
+            _successor(seq, p)
+            if tall:
+                m = next((v for v in range(2, n) if seq[v] == 1), n)
+                h = max(seq[1:m])
+                seq[n - h:] = range(1, h + 1)
+    seqs = np.frombuffer(kept, dtype=np.uint8).reshape(-1, n)
+    seqs = seqs[np.lexsort(~seqs.T[::-1])]
+    parents = np.full(seqs.shape, -1)
+    # int16 temporaries keep the peak low
+    vertex = np.arange(n, dtype=np.int16)
+    for level in range(1, int(seqs.max()) + 1):
+        above = np.maximum.accumulate(np.where(seqs == level - 1, vertex, -1), axis=1)
+        np.copyto(parents, above, where=seqs == level)
+    return parents
+
+
+def _successor(seq: list[int], p: int) -> None:
+    """The Beyer-Hedetniemi successor of a level sequence, in place, from
+    vertex p on: with q the parent of p, the block q..p-1 repeats from p to
+    the end."""
+    q = p - 1
+    while seq[q] != seq[p] - 1:
+        q -= 1
+    for v in range(p, len(seq)):
+        seq[v] = seq[v - p + q]
 
 
 def _check_parent_rows(parents: np.ndarray, n: int) -> None:
@@ -326,114 +341,34 @@ def _edge_keys(parents: np.ndarray) -> np.ndarray:
     return np.sort(parents[:, 1:] * n + np.arange(1, n), axis=1)
 
 
-def _first_candidates(n: int):
-    """(parent, h) for the canonical level sequences on n vertices whose
-    root has one child and which neither rule of _free_tree_parents turns
-    away, in decreasing lexicographic order (path first); parent[v] is the
-    last vertex before v one level up, -1 for the root, and h is the
-    root's height. The list is updated in place between yields.
-
-    The root sits above a rooted tree on n - 1 vertices, so this is the
-    successor rule on those trees, run one level lower: the last vertex
-    above level 2 moves up to its parent's level and the block from that
-    parent on repeats to the end. Each rewritten vertex is checked as it is
-    written, and the first one to break a rule ends the sequence there."""
-    seq = list(range(n))
-    parent = list(range(-1, n - 1))
-    # spine vertex each vertex's branch hangs from; spine vertices their own
-    spine = list(range(n))
-    h, lo = n - 1, 0  # lo = h - b: a branch at k < lo breaks the far-end rule
-    yield parent, h
-    v = n - 1
-    while True:
-        # the last vertex at or before v above level 2; every vertex after
-        # v counts as a leaf at level 2
-        p = v
-        while p > 1 and seq[p] < 3:
-            p -= 1
-        if p <= 1:
-            return
-        q = p - 1
-        while seq[q] != seq[p] - 1:
-            q -= 1
-        # vertex v >= p copies v - d: a copy of q is a sibling of q, any
-        # other vertex hangs d below its original's parent
-        d, level, up = p - q, seq[q], parent[q]
-        if p <= h:
-            # p was the spine's end and moves up beside its parent
-            h = p - 1
-        if p == h + 1:
-            lo = h - up  # b = parent[p], a copy of q
-        for v in range(p, n):
-            seq[v] = lv = seq[v - d]
-            parent[v] = u = parent[v - d] + d if lv > level else up
-            spine[v] = k = spine[u]
-            if k < lo or lv > 2 * k:
-                break
-        else:
-            yield parent, h  # and v = n - 1
-
-
-def _spine_key(parent, h: int) -> str:
-    """Canonical encoding of a tree given by the parent array of its
-    vertices in preorder, where 0, 1, .., h is a path from the root to a
-    deepest vertex. The caller guarantees that h is the diameter: a
-    peripheral root, as _first_candidates and tree_canonical_form give.
-
-    The preorder must also be canonical: each vertex lists its children
-    by decreasing level sequence, which is increasing encoding (at the
-    first difference, a deeper next level writes "(" where the other
-    writes ")"). Below the center the children's encodings are then joined
-    as listed, without a sort; only the re-rooted path 0..c sorts."""
-    n = len(parent)
-    # 0..h is a diametral path, so its middle vertices are the centers
-    c = h // 2
-    kids: list[list[str]] = [[] for _ in range(n)]
-    for v in range(n - 1, c, -1):
-        below = kids[v]  # in decreasing preorder, so reversed is sorted
-        kids[parent[v]].append("(" + "".join(below[::-1]) + ")" if below else "()")
-    # path vertices k < c hold only their off-path children; re-root
-    # along the path, carrying the encoding of the part above k + 1
-    up: list[str] = []
-    for k in range(c):
-        up = ["(" + "".join(sorted(kids[k] + up)) + ")"]
-    key = "(" + "".join(sorted(kids[c] + up)) + ")"
-    if h % 2:
-        # bicentral: kids[c] ends with c + 1, the child appended last
-        up = ["(" + "".join(sorted(kids[c][:-1] + up)) + ")"]
-        key = min(key, "(" + "".join(sorted(kids[c + 1] + up)) + ")")
-    return key
-
-
 def tree_canonical_form(tree: Graph) -> str:
     """Canonical encoding of an unlabeled tree: rooted encoding with sorted
     child encodings, rooted at the center (minimum over both centers when
     the tree is bicentral). Equal strings iff isomorphic.
 
-    The tree is relabelled in preorder from a vertex r farthest from vertex
-    0, which is peripheral, listing each vertex's children by increasing
-    encoding, built bottom up from r. That is a canonical preorder, and
-    the smallest encoding is a deepest child's, so vertices 0, 1, .., h
-    form a diametral path and _spine_key applies, as in _free_tree_parents.
-    The first BFS also checks that the graph is a tree: connected, with
-    n - 1 edges."""
+    The centers are the middle of a diametral path, found by two BFS runs:
+    a vertex r farthest from vertex 0 is peripheral, and the path runs from
+    r to a vertex farthest from r. The first BFS also checks that the graph
+    is a tree: connected, with n - 1 edges."""
     nbrs = tree.neighbors
     order = _bfs(tree, 0)[0]
     if len(order) != tree.n or tree.edge_count != tree.n - 1:
         raise ValueError("canonical form defined for trees")
-    r = order[-1]
-    order, up = _bfs(tree, r)
-    enc, kids = [""] * tree.n, [None] * tree.n
+    order, up = _bfs(tree, order[-1])
+    path = [order[-1]]
+    while up[path[-1]] != path[-1]:
+        path.append(up[path[-1]])
+    c, other = path[(len(path) - 1) // 2], path[len(path) // 2]
+
+    def join(kids) -> str:
+        return "(" + "".join(sorted(kids)) + ")"
+
+    order, up = _bfs(tree, c)
+    enc = [""] * tree.n
     for v in reversed(order):
-        # largest encoding first, so the smallest is popped first below
-        kids[v] = sorted((w for w in nbrs[v] if w != up[v]), key=enc.__getitem__, reverse=True)
-        enc[v] = "(" + "".join(enc[w] for w in reversed(kids[v])) + ")"
-    parent: list[int] = []
-    stack = [(r, -1)]
-    while stack:
-        v, p = stack.pop()
-        stack += [(w, len(parent)) for w in kids[v]]
-        parent.append(p)
-    # the path 0, 1, .., h ends at the first vertex without a child
-    h = next(v for v in range(tree.n) if v + 1 == tree.n or parent[v + 1] != v)
-    return _spine_key(parent, h)
+        enc[v] = join(enc[w] for w in nbrs[v] if w != up[v])
+    if other == c:
+        return enc[c]
+    # rooted at the other center, c hangs below it without that branch
+    below = join(enc[w] for w in nbrs[c] if w != other)
+    return min(enc[c], join([below] + [enc[w] for w in nbrs[other] if w != c]))

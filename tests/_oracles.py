@@ -5,12 +5,7 @@ come from Prufer sequences, line graphs from the textbook definition,
 blocks from a recursive lowpoint DFS, component counts from a
 union-find, bipartiteness from trying every 2-colouring, tree centers
 from eccentricities, enumeration representatives from the largest level
-sequence over all roots, the enumeration's level sequences and parent
-arrays from the unfused successor rule and a separate parent walk, the
-sequences it keys from a filter run on each whole sequence rather than a
-skip of every extension of a failing prefix, its representatives from
-keying every leaf-rooted sequence whose root is peripheral, found by a
-pass over every vertex's deepest branch, double stars from their two
+sequence over the roots at a center, double stars from their two
 internal vertices tested for adjacency, the
 `enumerate` command's output from each tree's Graph, its edges read back
 from the stacked adjacency matrices and written through json.dumps,
@@ -60,11 +55,8 @@ def random_prufer_tree(rng: np.random.Generator, n: int) -> Graph:
     return prufer_to_tree(n, rng.integers(0, n, size=n - 2))
 
 
-def tree_key_oracle(g: Graph) -> str:
-    """Center-rooted canonical string of a tree in the package's format,
-    found another way: the centers are the vertices of least eccentricity
-    (a BFS from every vertex), and each rooted encoding is built by
-    recursion."""
+def centers_oracle(g: Graph) -> list[int]:
+    """The vertices of least eccentricity, by a BFS from every vertex."""
     nbrs = [np.flatnonzero(g.adj[v]).tolist() for v in range(g.n)]
 
     def eccentricity(s):
@@ -77,108 +69,38 @@ def tree_key_oracle(g: Graph) -> str:
                     queue.append(w)
         return max(dist.values())
 
+    ecc = [eccentricity(v) for v in range(g.n)]
+    return [v for v in range(g.n) if ecc[v] == min(ecc)]
+
+
+def tree_key_oracle(g: Graph) -> str:
+    """Center-rooted canonical string of a tree in the package's format,
+    found another way: the centers come from centers_oracle, and each
+    rooted encoding is built by recursion."""
+    nbrs = [np.flatnonzero(g.adj[v]).tolist() for v in range(g.n)]
+
     def encode(v, parent):
         return "(" + "".join(sorted(encode(w, v) for w in nbrs[v] if w != parent)) + ")"
 
-    ecc = [eccentricity(v) for v in range(g.n)]
-    return min(encode(c, -1) for c in range(g.n) if ecc[c] == min(ecc))
+    return min(encode(c, -1) for c in centers_oracle(g))
 
 
 def representative_oracle(tree: Graph) -> list[tuple[int, int]]:
     """Edges of the representative the enumeration keeps for this tree,
-    found another way: over all roots, the lexicographically largest
-    canonical level sequence (each vertex's depth, then its children's
-    sequences in decreasing order, by recursion), with vertices numbered
-    in sequence order and each joined to the last earlier vertex one level
-    up."""
+    found another way: over the roots at a center (centers_oracle), the
+    lexicographically largest canonical level sequence (each vertex's
+    depth, then its children's sequences in decreasing order, by
+    recursion), with vertices numbered in sequence order and each joined
+    to the last earlier vertex one level up."""
     nbrs = [np.flatnonzero(tree.adj[v]).tolist() for v in range(tree.n)]
 
     def levels(v, parent, depth):
         kids = sorted((levels(w, v, depth + 1) for w in nbrs[v] if w != parent), reverse=True)
         return [depth] + [x for kid in kids for x in kid]
 
-    seq = max(levels(r, -1, 0) for r in range(tree.n))
+    seq = max(levels(r, -1, 0) for r in centers_oracle(tree))
     edges = [(max(j for j in range(i) if seq[j] == seq[i] - 1), i) for i in range(1, tree.n)]
     return sorted(edges)
-
-
-def leaf_rooted_sequences_oracle(n: int):
-    """(seq, parent) for each canonical level sequence on n vertices whose
-    root has one child, in the enumeration's order, found another way: the
-    successor rule run on rooted trees with n - 1 vertices, each sequence
-    shifted one level down under a new root, and each vertex's parent
-    found by a fresh walk as the last earlier vertex one level up."""
-    if n == 1:
-        yield [0], [-1]
-        return
-    seq = list(range(n - 1))
-    while True:
-        shifted = [0] + [x + 1 for x in seq]
-        parent = [-1] * n
-        last = [0] * n  # last vertex seen at each level
-        for v in range(1, n):
-            parent[v] = last[shifted[v] - 1]
-            last[shifted[v]] = v
-        yield shifted, parent
-        p = n - 2
-        while p > 0 and seq[p] < 2:
-            p -= 1
-        if p == 0:
-            return
-        q = p - 1
-        while seq[q] != seq[p] - 1:
-            q -= 1
-        seq = seq[:p]
-        while len(seq) < n - 1:
-            seq.append(seq[-(p - q)])
-
-
-def may_come_first_oracle(seq, parent, h: int) -> bool:
-    """False when the long-path or far-end rule of the enumeration turns
-    this whole leaf-rooted sequence away, its root's height being h, as the
-    enumeration first ran them: one pass over the vertices after the spine
-    0, 1, .., h, with the far-end rule read once at the end."""
-    n = len(seq)
-    if h + 1 == n:
-        return True
-    b = k = parent[h + 1]
-    for v in range(h + 1, n):
-        if parent[v] <= h:
-            k = parent[v]  # v starts the branch at spine vertex k
-        if seq[v] > 2 * k:
-            return False
-    return h - k <= b
-
-
-def free_tree_parents_oracle(n: int) -> np.ndarray:
-    """The enumeration's (count, n) array of representatives, as it was
-    found before any sequence was turned away unkeyed: every leaf-rooted
-    sequence whose root's height h is the diameter gets a key, and the
-    first parent array of each key is kept, sorted by key. A pass over
-    every vertex's deepest branch finds the long paths; the key is the
-    recursive rooted encoding at the middle of the diametral path 0..h,
-    the smaller of the two when h is odd."""
-    reps: dict[str, list[int]] = {}
-    for seq, parent in leaf_rooted_sequences_oracle(n):
-        h = max(seq)
-        deep = [0] * n  # deepest branch below each vertex
-        for v in range(n - 1, 0, -1):
-            d, u = deep[v] + 1, parent[v]
-            if deep[u] + d > h:
-                break
-            deep[u] = max(deep[u], d)
-        else:
-            nbrs = [[] for _ in range(n)]
-            for v in range(1, n):
-                nbrs[v].append(parent[v])
-                nbrs[parent[v]].append(v)
-
-            def encode(v, up):
-                return "(" + "".join(sorted(encode(w, v) for w in nbrs[v] if w != up)) + ")"
-
-            key = min(encode(c, -1) for c in {h // 2, (h + 1) // 2})
-            reps.setdefault(key, parent)
-    return np.array([reps[k] for k in sorted(reps)])
 
 
 def enumerate_output_oracle(trees, n: int, fmt: str) -> str:

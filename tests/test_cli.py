@@ -188,11 +188,11 @@ def test_enumerate_json_and_csv(capsys):
 # SHA-256 of `enumerate --n N --format json` stdout; a change to any kept
 # representative, its edge order or the order of the trees changes it
 _ENUMERATE_JSON_SHA256 = {
-    10: "8f859f8b543b4fe87f6b6b2a7da8ec65ac49ea44178b8bc985c4116aea90c203",
-    12: "82a3908720cf42723d33b1b6856af068416376ac4e99e13065eeca9a46d47827",
-    13: "5ec403a84e87ddbd087c0285b9632ae280254ba6b59a6abfd92da0505d25e283",
-    14: "fddb015135a47036503500d5f2db608243fcde5d4b2ee9640c2cd6054e7c9e4d",
-    15: "910f7f643979560c8a108c9ec1d3a31b19959e9fea0e5802b72a3bfd94a3030b",
+    10: "cbafd8933ebfa3c821708b3f4d2789bdc1f88cbfb7f986a7bec86b082a2b32bf",
+    12: "678fa0e59f2c7d53ba90744d35239aa6bcd54f68658f255bcddfd71a48a89454",
+    13: "f21885c707b6a845a0903b98351d0cbeb0c843e44c306df7f88ffa764bc8c618",
+    14: "50b6c6384d97982b75fcc144be7db6f4ca84d8bf4b43b7460075f98ee8e0956d",
+    15: "9f74c0a31f0bdee2884d73e3b5c10dd900f8380f08c924961945c503e96b1887",
 }
 
 
@@ -209,12 +209,12 @@ _ENUMERATE_CSV_TEXT_SHA256 = {
     "csv": {
         1: "d886239b3c08a6711f94a8c84405550e3c8dfaec7f8e7bb5c612ecdef4733d17",
         2: "a5877f5b7e670e4e0329896ebc53bc56efeba08b2b4ba69a557a8dcc379893f2",
-        10: "f8d427a7cd4801b77b0fc15d65262ffdb4cf077d7f9a01778bef881ee532dffe",
+        10: "26fe142f0fe4205779f2521abcfaf70721aca29fde574353ecdb715bd9a62a9b",
     },
     "text": {
         1: "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
         2: "3fc9e4107a30c79a0b33dfa66d9aaf3fdda293a082ce23788361ecae28e82c53",
-        10: "ffbbf8cf9aae78cae02b635d5a7a52de4ac923268d3a29d54c6377010223cccf",
+        10: "3ac87a6c34db8d34312022606b92365d694acd22785257f285fcb0f5401719eb",
     },
 }
 

@@ -210,6 +210,28 @@ def test_cubic_coeffs_takes_only_s_t_m():
         CubicCoeffs(16, 79, 120, 3, 3, 2)
 
 
+def test_numpy_integers_give_the_python_int_coefficients():
+    # at these sizes int64 products overflow: in numpy integers, c of the
+    # cubic read -3,420,581,989,593,213,952 and q of the windmill quadratic
+    # -3.87e18, and the wprime products pass 2**63
+    def cubic(s, t, m):
+        cub = CubicCoeffs(s, t, m)
+        return cub.a, cub.b, cub.c
+
+    for fn, big in (
+        (cubic, (10**6, 10**6, 1000)),
+        (windmill_q_quadratic, (10**6, 10**6, 1000)),
+        (wprime_quadratics, (10**7, 10**7, 1000)),
+    ):
+        want = fn(*big)
+        got = fn(*map(np.int64, big))
+        assert got == want, fn.__name__
+        values = got.values() if isinstance(got, dict) else (got,)
+        assert all(type(x) is int for pair in values for x in pair), fn.__name__
+    assert CubicCoeffs(10**6, 10**6, 1000).c > 0
+    assert windmill_q_quadratic(10**6, 10**6, 1000)[1] > 9.9e23
+
+
 def test_cubic_222_is_not_integral():
     cub = integrality_cubic(2, 2, 2)
     assert cub.integer_roots() is None

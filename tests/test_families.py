@@ -63,11 +63,9 @@ from spectree.verify import check_theorem_21
 
 from _oracles import (
     cartesian_adjacency_oracle,
-    free_tree_parents_oracle,
+    centers_oracle,
     kron_adjacency_oracle,
-    leaf_rooted_sequences_oracle,
     line_graph_oracle,
-    may_come_first_oracle,
     prufer_to_tree,
     random_prufer_tree,
     representative_oracle,
@@ -75,14 +73,8 @@ from _oracles import (
 )
 from _strategies import PROPERTY, general_graphs
 
-# free trees on 1..8 vertices (OEIS A000055)
-FREE_TREE_COUNTS = (1, 1, 1, 2, 3, 6, 11, 23)
-# canonical keys the enumeration computes for n = 1..9: one per leaf-rooted
-# level sequence that neither the long-path nor the far-end rule turns
-# away, against 1, 1, 1, 2, 4, 8, 17, 37, 84 leaf-rooted sequences whose
-# root's height is the diameter and 1, 1, 2, 4, 9, 20, 48, 115, 286 rooted
-# sequences (OEIS A000081)
-KEYS_PER_N = (1, 1, 1, 2, 3, 6, 12, 25, 56)
+# free trees on 1..12 vertices (OEIS A000055)
+FREE_TREE_COUNTS = (1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551)
 
 
 # ---- constructors ----
@@ -365,12 +357,18 @@ def test_free_tree_counts():
 
 
 def test_enumerated_trees_are_trees_and_distinct():
-    for n in range(2, 9):
+    """With the A000055 counts, sorted and distinct oracle keys pin the set
+    of trees and their order. Vertex 0 of each is a center, and up to
+    n = 10 the canonical form is the oracle's key."""
+    for n, count in enumerate(FREE_TREE_COUNTS, start=1):
         trees = enumerate_free_trees(n)
-        keys = [tree_canonical_form(t) for t in trees]
+        keys = [tree_key_oracle(t) for t in trees]
         assert all(is_tree(t) and t.n == n for t in trees)
-        assert len(set(keys)) == len(trees)
+        assert len(trees) == count and len(set(keys)) == count
         assert keys == sorted(keys)  # deterministic canonical order
+        assert all(0 in centers_oracle(t) for t in trees)
+        if n <= 10:
+            assert [tree_canonical_form(t) for t in trees] == keys
 
 
 def test_enumeration_matches_prufer_oracle():
@@ -396,100 +394,6 @@ def test_canonical_form_is_isomorphism_invariant():
             base = tree_canonical_form(tree)
             for _ in range(5):
                 assert tree_canonical_form(_relabel(rng, tree)) == base
-
-
-def test_leaf_rooted_sequences_match_the_unfused_rule():
-    """The generator yields exactly the leaf-rooted sequences of the
-    unfused successor rule that the whole-sequence filter keeps, each with
-    its root's height, in the same order: skipping every extension of a
-    failing prefix drops none that the filter keeps."""
-    for n in range(1, 15):
-        every = list(leaf_rooted_sequences_oracle(n))
-        # rooted trees on n - 1 vertices (OEIS A000081)
-        assert len(every) == (1, 1, 1, 2, 4, 9, 20, 48, 115, 286, 719, 1842, 4766, 12486)[n - 1]
-        want = [(parent, max(seq)) for seq, parent in every if may_come_first_oracle(seq, parent, max(seq))]
-        # the generator updates its list in place, so copy each one it yields
-        got = [(parent[:], h) for parent, h in families._first_candidates(n)]
-        assert got == want, n
-    assert len(got) == 4409  # at n = 14, of 12,486
-
-
-def test_canonical_form_matches_enumeration_keys(monkeypatch):
-    """The key the enumeration computes from each rooted tree's parent
-    array equals tree_canonical_form of that tree and of a relabelled copy,
-    and the independent oracle's string. Only the sequences that may come
-    first for their free tree get a key; the count pins that work."""
-    spine_key = families._spine_key
-    seen = []
-
-    def record(parent, h):
-        key = spine_key(parent, h)
-        seen[-1].append((key, [(parent[v], v) for v in range(1, len(parent))]))
-        return key
-
-    monkeypatch.setattr(families, "_spine_key", record)
-    for n in range(1, len(KEYS_PER_N) + 1):
-        seen.append([])
-        enumerate_free_trees(n)
-    monkeypatch.undo()
-
-    rng = np.random.default_rng(9)
-    assert tuple(len(keyed) for keyed in seen) == KEYS_PER_N
-    for n, keyed in enumerate(seen, 1):
-        for key, edges in keyed:
-            g = from_edge_list(n, edges)
-            assert tree_canonical_form(g) == key == tree_key_oracle(g)
-            assert tree_canonical_form(_relabel(rng, g)) == key
-
-
-def test_free_tree_parents_match_keying_every_sequence():
-    # turning sequences away before the key keeps every representative
-    # and the order of the old loop, which keyed each leaf-rooted sequence
-    for n in range(1, 15):
-        got = families._free_tree_parents(n)
-        np.testing.assert_array_equal(got, free_tree_parents_oracle(n), err_msg=str(n))
-
-
-def _diameter(parent):
-    """Longest path of the tree with this parent array: the eccentricity
-    of a vertex farthest from vertex 0, by two breadth-first searches."""
-    nbrs = [[] for _ in parent]
-    for v in range(1, len(parent)):
-        nbrs[v].append(parent[v])
-        nbrs[parent[v]].append(v)
-
-    def farthest(s):
-        dist = {s: 0}
-        queue = [s]
-        for v in queue:
-            for w in nbrs[v]:
-                if w not in dist:
-                    dist[w] = dist[v] + 1
-                    queue.append(w)
-        return v, dist[v]
-
-    return farthest(farthest(0)[0])[1]
-
-
-def test_turned_away_sequences_are_long_or_already_keyed():
-    """Each leaf-rooted sequence the whole-sequence filter turns away has
-    a path longer than its root's height h, or its tree's key was stored
-    from an earlier sequence the filter kept: neither rule drops a first
-    sequence."""
-    for n in range(1, 12):
-        stored, long_paths, repeats = set(), 0, 0
-        for seq, parent in leaf_rooted_sequences_oracle(n):
-            h = max(seq)
-            if may_come_first_oracle(seq, parent, h):
-                stored.add(families._spine_key(parent, h))
-            elif _diameter(parent) > h:
-                long_paths += 1
-            else:
-                edges = [(parent[v], v) for v in range(1, n)]
-                assert tree_canonical_form(from_edge_list(n, edges)) in stored, (n, parent)
-                repeats += 1
-    # at n = 11 both rules turn sequences away
-    assert long_paths and repeats
 
 
 def test_canonical_form_of_random_trees():
@@ -530,13 +434,11 @@ def test_canonical_form_of_caterpillars(legs):
 
 
 def test_canonical_form_orders_equal_heights_by_encoding():
-    """Below the center the key joins children in the order the preorder
-    lists them, so tree_canonical_form must list them by encoding, not by
-    height alone. On the path 0..10, vertex 4 carries a branch with two
-    leaves and one with a single leaf: equal heights, different encodings,
-    and either branch may get the smaller labels, so a height order that
-    keeps label order among equals lists the one-leaf branch first in one
-    of the two."""
+    """Children of equal height are joined by encoding, not by label. On
+    the path 0..10, vertex 4 carries a branch with two leaves and one with
+    a single leaf: equal heights, different encodings, and either branch
+    may get the smaller labels, so an order that keeps label order among
+    equal heights lists the one-leaf branch first in one of the two."""
     for two, one in ((11, 14), (13, 11)):
         edges = [(i, i + 1) for i in range(10)]
         edges += [(4, two), (two, two + 1), (two, two + 2), (4, one), (one, one + 1)]
@@ -550,8 +452,8 @@ def test_canonical_form_orders_equal_heights_by_encoding():
 
 def test_enumeration_keeps_largest_level_sequence():
     """Each kept tree is the one its lexicographically largest level
-    sequence over all roots builds, the first of its kind the rooted
-    generator emits. The oracle sees a relabelled copy."""
+    sequence rooted at a center builds. The oracle sees a relabelled
+    copy."""
     rng = np.random.default_rng(12)
     for n in range(1, 11):
         for tree in enumerate_free_trees(n):
