@@ -17,15 +17,7 @@ import sys
 import numpy as np
 
 from .eigen import eigenvalues, group_spectrum, spectrum_to_dict
-from .families import (
-    _check_parent_rows,
-    _edge_keys,
-    _free_tree_parents,
-    build,
-    line_graph,
-    parse_family,
-    tkst_tree,
-)
+from .families import _free_tree_chunks, build, line_graph, parse_family, tkst_tree
 from .graphs import Graph, is_tree, load_graph
 from .spectra import (
     a_beta_m,
@@ -159,27 +151,21 @@ def _cmd_table2(parser, args) -> int:
     return 0 if report.ok else 1
 
 
-# trees whose edge lists are built and written at once by enumerate; every
-# n <= 13 (1,301 trees) fits in one chunk
-_ENUM_CHUNK = 2048
-
-
 def _cmd_enumerate(parser, args) -> int:
     if args.n < 1:
         parser.error("--n must be >= 1")
     n, fmt = args.n, args.format
-    parents = _free_tree_parents(n)
-    _check_parent_rows(parents, n)
-    # cells[u * n + v] is edge (u, v) as the format writes it
+    count, chunks = _free_tree_chunks(n)
+    # cells[u, v] is edge (u, v) as the format writes it
     cell = "{}-{}" if fmt == "csv" else "[{}, {}]"
-    cells = np.array([cell.format(u, v) for u in range(n) for v in range(n)], dtype=object)
+    cells = np.array([cell.format(u, v) for u in range(n) for v in range(n)], dtype=object).reshape(n, n)
     out = sys.stdout
     if fmt == "json":
-        out.write(f'{{"n": {n}, "count": {len(parents)}, "trees": [')
+        out.write(f'{{"n": {n}, "count": {count}, "trees": [')
     elif fmt == "csv":
         out.write("index,edges\n")
-    for lo in range(0, len(parents), _ENUM_CHUNK):
-        trees = cells[_edge_keys(parents[lo:lo + _ENUM_CHUNK])].tolist()
+    for lo, u, v in chunks:
+        trees = cells[u, v].tolist()
         if fmt == "csv":
             out.write("".join(f"{i}," + " ".join(es) + "\n" for i, es in enumerate(trees, start=lo)))
         elif fmt == "json":

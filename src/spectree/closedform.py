@@ -158,42 +158,39 @@ def integrality_cubic(s: int, t: int, m: int) -> CubicCoeffs:
     return CubicCoeffs(s, t, m)
 
 
-def _divisors(n: int) -> list[int]:
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            out.append(n // d)
-        d += 1
-    return sorted(set(out))
-
-
 def integer_roots_of_monic_cubic(a: int, b: int, c: int) -> tuple[int, int, int] | None:
     """Roots of x^3 - a x^2 + b x - c if all three are integers, else None.
 
-    Exact: a rational root of a monic integer polynomial is an integer
-    dividing the constant term; deflate and demand a perfect-square
-    discriminant with matching parity for the remaining quadratic.
+    Exact, in Python ints, in time that grows with the digits of the
+    coefficients. Three real roots need f' = 3x^2 - 2a x + b to have real
+    roots, the larger being r = (a + sqrt(a^2 - 3b)) / 3; the largest root
+    of f then lies in [r, 1 + max(|a|, |b|, |c|)), where f increases. So
+    if it is an integer it is floor(r), or the least integer above
+    floor(r) where f >= 0, which bisection finds. Deflate by that root and
+    demand a perfect-square discriminant with matching parity for the
+    remaining quadratic.
     """
     _check_ints(None, a=a, b=b, c=c)
 
     def poly(x: int) -> int:
         return x * x * x - a * x * x + b * x - c
 
-    root = None
-    if c == 0:
-        root = 0
-    else:
-        for d in _divisors(abs(c)):
-            if poly(d) == 0:
-                root = d
-                break
-            if poly(-d) == 0:
-                root = -d
-                break
-    if root is None:
+    disc = a * a - 3 * b
+    if disc < 0:
         return None
+    # floor(r), as floor((a + s) / 3) = floor((a + floor(s)) / 3) for an integer a
+    root = (a + math.isqrt(disc)) // 3
+    if poly(root) != 0:
+        lo, hi = root + 1, 1 + max(abs(a), abs(b), abs(c))
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if poly(mid) >= 0:
+                hi = mid
+            else:
+                lo = mid + 1
+        if poly(lo) != 0:
+            return None
+        root = lo
     p = root - a  # deflated quadratic x^2 + p x + q
     q = b + root * p
     disc = p * p - 4 * q

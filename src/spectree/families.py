@@ -232,16 +232,54 @@ def beta_m(tree: Graph, m: int) -> Graph:
 def enumerate_free_trees(n: int) -> list[Graph]:
     """All unlabeled trees on n vertices, one representative each.
 
-    The representatives are built at once from the preorder parent arrays
-    of _free_tree_parents, through one (count, n, n) adjacency array, and
-    come in the same order: sorted by the center-rooted canonical encoding.
-    Vertex 0 of each is a center. Deterministic."""
+    The representatives are built a chunk at a time from the checked
+    parent rows of _free_tree_parents, through one (count, n, n) adjacency
+    array per chunk, and come in the same order: sorted by the
+    center-rooted canonical encoding. Vertex 0 of each is a center.
+    Deterministic."""
+    trees = []
+    for _, u, v in _free_tree_chunks(n)[1]:
+        tree = np.arange(len(u))[:, None]
+        adj = np.zeros((len(u), n, n), dtype=bool)
+        adj[tree, u, v] = adj[tree, v, u] = True
+        trees += map(Graph, adj)
+    return trees
+
+
+# trees per chunk of _free_tree_chunks: enumerate builds one chunk's edge
+# lists at a time, and the thm-2.1 sweep one chunk's stacked eigensolves,
+# which keeps both small at large n (7,741 trees at n = 15)
+_TREE_CHUNK = 256
+
+
+def _free_tree_chunks(n: int):
+    """The free trees on n vertices, from the rows of _free_tree_parents,
+    checked once: (count, chunks). chunks yields (lo, u, v) for trees lo,
+    lo + 1, .. in enumeration order, up to _TREE_CHUNK of them; tree lo + i
+    has edges (u[i, j], v[i, j]), u < v, sorted as edge_list sorts them.
+
+    Raises at once unless every row is a preorder parent array of a tree:
+    row[0] = -1 and 0 <= row[v] < v for v >= 1, so each vertex but 0 has
+    one edge to an earlier vertex."""
     parents = _free_tree_parents(n)
-    # in tree i, vertex v >= 1 is joined to up[i, v - 1]
-    tree, child, up = np.arange(len(parents))[:, None], np.arange(1, n), parents[:, 1:]
-    adj = np.zeros((len(parents), n, n), dtype=bool)
-    adj[tree, up, child] = adj[tree, child, up] = True
-    return [Graph(a) for a in adj]
+    ok = (parents >= 0) & (parents < np.arange(n))
+    ok[:, 0] = parents[:, 0] == -1
+    bad = np.argwhere(~ok)
+    if len(bad):
+        i, v = bad[0]
+        raise ValueError(
+            f"tree {i} on n = {n} vertices has parent {parents[i, v]} at vertex {v}; "
+            "a preorder parent array has -1 at vertex 0 and 0 <= parent < v at each vertex v >= 1"
+        )
+
+    def chunks():
+        # each vertex v >= 1 has the edge (parent[v], v) with parent[v] < v,
+        # so sorting the keys u * n + v orders the edges by (u, v)
+        for lo in range(0, len(parents), _TREE_CHUNK):
+            keys = np.sort(parents[lo:lo + _TREE_CHUNK, 1:] * n + np.arange(1, n), axis=1)
+            yield (lo, *np.divmod(keys, n))
+
+    return len(parents), chunks()
 
 
 def _free_tree_parents(n: int) -> np.ndarray:
@@ -316,29 +354,6 @@ def _successor(seq: list[int], p: int) -> None:
         q -= 1
     for v in range(p, len(seq)):
         seq[v] = seq[v - p + q]
-
-
-def _check_parent_rows(parents: np.ndarray, n: int) -> None:
-    """Raise unless every row is a preorder parent array of a tree on n
-    vertices: row[0] = -1 and 0 <= row[v] < v for v >= 1, so each vertex
-    but 0 has one edge to an earlier vertex."""
-    ok = (parents >= 0) & (parents < np.arange(n))
-    ok[:, 0] = parents[:, 0] == -1
-    bad = np.argwhere(~ok)
-    if len(bad):
-        i, v = bad[0]
-        raise ValueError(
-            f"tree {i} on n = {n} vertices has parent {parents[i, v]} at vertex {v}; "
-            "a preorder parent array has -1 at vertex 0 and 0 <= parent < v at each vertex v >= 1"
-        )
-
-
-def _edge_keys(parents: np.ndarray) -> np.ndarray:
-    """Each tree's edges as keys u * n + v, one sorted row per parent
-    array: the edges are (parent[v], v) for v >= 1 with parent[v] < v, so
-    sorting the keys orders them by (u, v), as edge_list does."""
-    n = parents.shape[-1]
-    return np.sort(parents[:, 1:] * n + np.arange(1, n), axis=1)
 
 
 def tree_canonical_form(tree: Graph) -> str:

@@ -145,38 +145,37 @@ def a_beta_m(tree: Graph, m: int) -> float:
     of the explicitly assembled product Laplacian (ROUTE_TOL).
     """
     _check_ints(2, m=m)
-    adj = _tree_line_graph(tree).adj[None]
-    return float(_a_beta(adj, _aconn(adj), m)[0])
-
-
-def _tree_line_graph(tree: Graph) -> Graph:
-    """L(tree), for a tree with at least two edges."""
     if not is_tree(tree):
         raise ValueError("a_beta_m needs a tree")
     if tree.edge_count < 2:
         raise ValueError("a_beta_m needs a tree with >= 2 edges")
-    return line_graph(tree)[0]
+    (a,) = _a_beta(line_graph(tree)[0].adj[None], (m,))
+    return float(a[0])
 
 
-def _a_beta(adj: np.ndarray, a_l: np.ndarray, m: int) -> np.ndarray:
-    """a_beta_m for each tree whose line graph L is a slice of the
-    adjacency stack adj (count, k, k), given a_l = a(L) per tree and
-    m >= 2, so a sweep over m builds L and solves a(L) once.
+def _a_beta(adj: np.ndarray, ms) -> list[np.ndarray]:
+    """a_beta_m at each m in ms (each >= 2) for each tree whose line graph
+    L is a slice of the adjacency stack adj (count, k, k): one array per m,
+    with a(L) solved once for all of them.
 
-    One stacked solve of Q_{m-1}(L) and one of the assembled L x K_m; each
-    tree's decomposed value must match its direct one within ROUTE_TOL,
-    or the error names the first tree, by its index in the stack, that
-    does not."""
-    cand = np.minimum((m - 1) * a_l, eigenvalues(_q_matrix(adj, m))[:, 0])
-    direct = eigenvalues(_product_laplacian(adj, m))[:, 1]
-    bad = np.flatnonzero(np.abs(cand - direct) > ROUTE_TOL)
-    if bad.size:
-        i = int(bad[0])
-        raise RuntimeError(
-            f"tree {i} of the stack: decomposition value {float(cand[i])!r} "
-            f"disagrees with direct value {float(direct[i])!r}"
-        )
-    return cand
+    Per m, one stacked solve of Q_{m-1}(L) and one of the assembled
+    L x K_m; each tree's decomposed value must match its direct one within
+    ROUTE_TOL, or the error names the first tree, by its index in the
+    stack, that does not."""
+    a_l = _aconn(adj)
+    out = []
+    for m in ms:
+        cand = np.minimum((m - 1) * a_l, eigenvalues(_q_matrix(adj, m))[:, 0])
+        direct = eigenvalues(_product_laplacian(adj, m))[:, 1]
+        bad = np.flatnonzero(np.abs(cand - direct) > ROUTE_TOL)
+        if bad.size:
+            i = int(bad[0])
+            raise RuntimeError(
+                f"tree {i} of the stack: decomposition value {float(cand[i])!r} "
+                f"disagrees with direct value {float(direct[i])!r}"
+            )
+        out.append(cand)
+    return out
 
 
 def eigvec_lift_check(g: Graph, m: int) -> bool:

@@ -30,9 +30,7 @@ from .closedform import (
 )
 from .eigen import eigenvalues, second_smallest
 from .families import (
-    _check_parent_rows,
-    _edge_keys,
-    _free_tree_parents,
+    _free_tree_chunks,
     _line_adj,
     book_graph,
     complete_graph,
@@ -62,7 +60,6 @@ from .spectra import (
     ROUTE_TOL,
     _aconn,
     _a_beta,
-    _tree_line_graph,
     a_beta_m,
     algebraic_connectivity,
     laplacian,
@@ -246,20 +243,13 @@ def classify_diam4(tree: Graph):
 
 # ---- the double-star characterization ----
 
-# trees per stacked eigensolve in the thm-2.1 sweep: one stack per chunk
-# of each n's trees keeps the stacks small at large n (7,741 trees at
-# n = 15)
-_SWEEP_CHUNK = 256
-
-
 @dataclass(frozen=True, eq=False)
 class _TreeChunk:
-    """Trees lo, lo + 1, .. of the free trees on n >= 3 vertices, in
-    enumeration order, as the sweep reads them; row i of each array is
+    """Trees lo, lo + 1, .. of the free trees on n >= 3 vertices, one chunk
+    of _free_tree_chunks, as the sweep reads them; row i of each array is
     tree lo + i."""
 
     lo: int
-    parents: np.ndarray  # (count, n) preorder parent arrays
     line_adj: np.ndarray  # (count, n - 1, n - 1), vertices in edge_list order
     degrees: np.ndarray  # (count, n)
     edges: list[str]  # "u-v,.." in edge_list order
@@ -276,27 +266,19 @@ class _TreeChunk:
 
 
 def _tree_chunks(n: int):
-    """The free trees on n >= 3 vertices as _TreeChunk records of up to
-    _SWEEP_CHUNK trees each, built from the enumeration's parent arrays;
-    raises unless every row is a tree's."""
-    parents = _free_tree_parents(n)
-    _check_parent_rows(parents, n)
-    cells = np.array([f"{u}-{v}" for u in range(n) for v in range(n)], dtype=object)
-    for lo in range(0, len(parents), _SWEEP_CHUNK):
-        rows = parents[lo:lo + _SWEEP_CHUNK]
-        keys = _edge_keys(rows)
-        u, v = np.divmod(keys, n)
-        # each vertex but 0 has its parent, plus one edge per child
-        tree = np.arange(len(rows))[:, None] * n
-        deg = np.bincount((tree + rows[:, 1:]).ravel(), minlength=rows.size).reshape(rows.shape)
-        deg[:, 1:] += 1
+    """The free trees on n >= 3 vertices as one _TreeChunk record per chunk
+    of _free_tree_chunks, which raises unless every row is a tree's."""
+    cells = np.array([f"{u}-{v}" for u in range(n) for v in range(n)], dtype=object).reshape(n, n)
+    for lo, u, v in _free_tree_chunks(n)[1]:
+        # one count per edge end, in tree i's n slots from i * n
+        ends = np.hstack((u, v)) + np.arange(len(u))[:, None] * n
+        deg = np.bincount(ends.ravel(), minlength=len(u) * n).reshape(len(u), n)
         top = deg.max(axis=1)
         yield _TreeChunk(
             lo=lo,
-            parents=rows,
             line_adj=_line_adj(u, v),
             degrees=deg,
-            edges=[",".join(es) for es in cells[keys].tolist()],
+            edges=[",".join(es) for es in cells[u, v].tolist()],
             star=top == n - 1,
             path=top <= 2,
             t1st=_double_star(deg),
@@ -312,7 +294,7 @@ def check_theorem_21(max_n: int = 8, ms: tuple[int, ...] = (2, 3)) -> list[Verif
     graph, a from star_product_spectrum, which can exceed m-1) sit outside
     the characterization and are checked against their own closed values.
     Each tree's line graph, a(L) and class are computed once for all m,
-    and the eigensolves run on stacks of up to _SWEEP_CHUNK line graphs.
+    and the eigensolves run on stacks of one chunk of _free_tree_chunks.
     """
     _check_ints(3, max_n=max_n)
     if not ms:
@@ -322,9 +304,8 @@ def check_theorem_21(max_n: int = 8, ms: tuple[int, ...] = (2, 3)) -> list[Verif
     out: list[list[CheckInstance]] = [[] for _ in ms]
     for n in range(3, max_n + 1):
         for chunk in _tree_chunks(n):
-            a_l = _aconn(chunk.line_adj)
             try:
-                betas = [_a_beta(chunk.line_adj, a_l, m).tolist() for m in ms]
+                betas = [b.tolist() for b in _a_beta(chunk.line_adj, ms)]
             except RuntimeError as exc:
                 raise RuntimeError(f"n={n}, stack from tree #{chunk.lo:02d}: {exc}") from exc
             for m, a_m, insts in zip(ms, betas, out):
@@ -737,9 +718,8 @@ def reproduce_table2() -> VerificationReport:
     values: dict[int, tuple[float, list[float]]] = {}
     for rows in by_n.values():
         a = _aconn(np.stack([trees[i].adj for i in rows])).tolist()
-        adj = np.stack([_tree_line_graph(trees[i]).adj for i in rows])
-        a_l = _aconn(adj)
-        betas = [_a_beta(adj, a_l, m).tolist() for m in range(2, 8)]
+        adj = np.stack([line_graph(trees[i])[0].adj for i in rows])
+        betas = [b.tolist() for b in _a_beta(adj, range(2, 8))]
         for j, i in enumerate(rows):
             values[i] = (a[j], [b[j] for b in betas])
     out = []

@@ -10,8 +10,10 @@ internal vertices tested for adjacency, the
 `enumerate` command's output from each tree's Graph, its edges read back
 from the stacked adjacency matrices and written through json.dumps,
 eigenvalues from a cyclic Jacobi iteration
-rather than the LAPACK routine the package calls, and eigenvalue grouping
-from the package's first merge loop, kept here as written.
+rather than the LAPACK routine the package calls, eigenvalue grouping
+from the package's first merge loop, kept here as written, and the integer
+roots of a monic cubic by the package's first routine, trial division by
+every divisor of the constant term.
 """
 
 from __future__ import annotations
@@ -117,6 +119,56 @@ def enumerate_output_oracle(trees, n: int, fmt: str) -> str:
             f"{i}," + " ".join(f"{a}-{b}" for a, b in es) + "\n" for i, es in enumerate(edges)
         )
     return "".join(json.dumps(es) + "\n" for es in edges)
+
+
+def _divisors(n: int) -> list[int]:
+    out = []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            out.append(n // d)
+        d += 1
+    return sorted(set(out))
+
+
+def cubic_integer_roots_oracle(a: int, b: int, c: int) -> tuple[int, int, int] | None:
+    """Roots of x^3 - a x^2 + b x - c if all three are integers, else None.
+
+    A rational root of a monic integer polynomial is an integer dividing
+    the constant term; deflate and demand a perfect-square discriminant
+    with matching parity for the remaining quadratic. The divisors are
+    found by trial division up to sqrt|c|, so keep |c| small.
+    """
+
+    def poly(x: int) -> int:
+        return x * x * x - a * x * x + b * x - c
+
+    root = None
+    if c == 0:
+        root = 0
+    else:
+        for d in _divisors(abs(c)):
+            if poly(d) == 0:
+                root = d
+                break
+            if poly(-d) == 0:
+                root = -d
+                break
+    if root is None:
+        return None
+    p = root - a  # deflated quadratic x^2 + p x + q
+    q = b + root * p
+    disc = p * p - 4 * q
+    if disc < 0:
+        return None
+    r = math.isqrt(disc)
+    if r * r != disc or (r - p) % 2 != 0:
+        return None
+    x1 = (-p + r) // 2
+    x2 = (-p - r) // 2
+    out = sorted((root, x1, x2))
+    return (out[0], out[1], out[2])
 
 
 def line_graph_oracle(g: Graph) -> Graph:

@@ -1,14 +1,16 @@
 import hashlib
 import json
 import math
+import re
 
 import pytest
 
-from spectree import cli, closedform
+from spectree import cli, closedform, families
 from spectree.cli import main
 from spectree.families import enumerate_free_trees, tkst_tree
 from spectree.graphs import save_graph
 from spectree.spectra import ROUTE_TOL
+from spectree.verify import check_theorem_21
 
 from _oracles import enumerate_output_oracle
 
@@ -228,49 +230,59 @@ def test_enumerate_csv_and_text_golden(capsys, fmt):
 
 
 def test_enumerate_writes_what_the_graph_path_wrote(capsys, monkeypatch):
-    # enumerate writes from the generator's parent arrays; the reference
-    # builds each tree's Graph and reads the edges back from its adjacency
-    default = cli._ENUM_CHUNK
+    # enumerate writes from the generator's parent arrays, a chunk at a
+    # time; the reference builds each tree's Graph and reads the edges back
+    # from its adjacency
+    default = families._TREE_CHUNK
     for n in range(1, 13):
         trees = enumerate_free_trees(n)
         for fmt in ("json", "csv", "text"):
             want = enumerate_output_oracle(trees, n, fmt)
             for chunk in (1, 7, default):
-                monkeypatch.setattr(cli, "_ENUM_CHUNK", chunk)
+                monkeypatch.setattr(families, "_TREE_CHUNK", chunk)
                 got = _run(capsys, ["enumerate", "--n", str(n), "--format", fmt])
                 assert got == (0, want, ""), (n, fmt, chunk)
 
 
-@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+@pytest.mark.parametrize("reader", ["json", "csv", "text", "enumerate_free_trees", "check_theorem_21"])
 @pytest.mark.parametrize("tree, vertex, parent", [
     (5, 6, 6),    # parent[v] >= v: not an earlier vertex
     (17, 4, -1),  # a second root
     (0, 0, 0),    # no root
 ])
-def test_enumerate_rejects_a_row_that_is_not_a_tree(capsys, monkeypatch, fmt, tree, vertex, parent):
-    real = cli._free_tree_parents
+def test_enumerate_rejects_a_row_that_is_not_a_tree(capsys, monkeypatch, reader, tree, vertex, parent):
+    # enumerate in each format, enumerate_free_trees and the thm-2.1 sweep
+    # read the parent rows through one check, which stands in for is_tree
+    # on each tree and raises before anything is written
+    real = families._free_tree_parents
 
     def broken(n):
         parents = real(n)
-        parents[tree, vertex] = parent
+        if n == 8:
+            parents[tree, vertex] = parent
         return parents
 
-    monkeypatch.setattr(cli, "_free_tree_parents", broken)
-    code, out, err = _run(capsys, ["enumerate", "--n", "8", "--format", fmt])
-    assert code == 1 and out == ""
-    assert err.startswith(f"error: tree {tree} on n = 8 vertices has parent {parent} at vertex {vertex};")
+    monkeypatch.setattr(families, "_free_tree_parents", broken)
+    problem = (
+        f"tree {tree} on n = 8 vertices has parent {parent} at vertex {vertex}; "
+        "a preorder parent array has -1 at vertex 0 and 0 <= parent < v at each vertex v >= 1"
+    )
+    if reader in ("json", "csv", "text"):
+        assert _run(capsys, ["enumerate", "--n", "8", "--format", reader]) == (1, "", f"error: {problem}\n")
+    else:
+        read = enumerate_free_trees if reader == "enumerate_free_trees" else check_theorem_21
+        with pytest.raises(ValueError, match=f"^{re.escape(problem)}$"):
+            read(8)
 
 
 def test_enumerate_writes_the_same_bytes_in_chunks(capsys, monkeypatch):
-    # enumerate builds and writes at most _ENUM_CHUNK trees' edge lists at
-    # once; every n of the tree-enum benchmark (n <= 13) fits in one chunk,
-    # and any chunk size writes the same bytes
-    assert cli._ENUM_CHUNK >= 1301
+    # enumerate builds and writes at most one chunk of trees' edge lists
+    # at once, and any chunk size writes the same bytes
     for fmt in ("json", "csv", "text"):
         argv = ["enumerate", "--n", "8", "--format", fmt]
         whole = _run(capsys, argv)
         for chunk in (1, 7, 23, 24):  # n = 8 has 23 trees
-            monkeypatch.setattr(cli, "_ENUM_CHUNK", chunk)
+            monkeypatch.setattr(families, "_TREE_CHUNK", chunk)
             assert _run(capsys, argv) == whole, (fmt, chunk)
         monkeypatch.undo()
 

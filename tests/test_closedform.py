@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -37,6 +38,8 @@ from spectree.families import (
     wprime_graph,
 )
 from spectree.spectra import laplacian, product_laplacian_spectrum_direct, q_matrix
+
+from _oracles import cubic_integer_roots_oracle
 
 
 def test_quad_roots():
@@ -250,6 +253,43 @@ def test_integer_roots_of_monic_cubic():
     assert integer_roots_of_monic_cubic(7, 12, 3) is None
     # one integer root, irrational quadratic factor: (x-1)(x^2-3)
     assert integer_roots_of_monic_cubic(1, -3, -3) is None
+
+
+def test_integer_roots_of_a_cubic_with_a_large_constant_take_no_time():
+    # integrality_cubic(10**6, 10**6, 1000), which sympy factors as
+    # (x - 999999999)(x^2 - 2997999999x + 1997999998000000000); trial
+    # division up to sqrt(c) ~ 4.5e13 would run for hours
+    cub = integrality_cubic(10**6, 10**6, 1000)
+    abc = (3997999998, 4995999994002000001, 1997999996002000002000000000)
+    assert (cub.a, cub.b, cub.c) == abc
+    start = time.perf_counter()
+    assert integer_roots_of_monic_cubic(*abc) is None
+    assert cub.integer_roots() is None
+    assert time.perf_counter() - start < 0.25
+    # one root at 10**9 and two more 10**9 apart, all integers
+    big = (10**9, 2 * 10**9, -(10**9))
+    a, b, c = sum(big), big[0] * big[1] + big[0] * big[2] + big[1] * big[2], big[0] * big[1] * big[2]
+    assert integer_roots_of_monic_cubic(a, b, c) == tuple(sorted(big))
+
+
+def test_integer_roots_of_monic_cubic_match_trial_division():
+    # the trial-division oracle on a grid of coefficients, on every cubic
+    # with roots in -6..6, and on every integrality cubic with s, t <= 12
+    # and m <= 5
+    cubics = list(itertools.product(range(-8, 9), range(-20, 21), range(-30, 31)))
+    cubics += [
+        (x + y + z, x * y + x * z + y * z, x * y * z)
+        for x, y, z in itertools.combinations_with_replacement(range(-6, 7), 3)
+    ]
+    for s, t, m in itertools.product(range(1, 13), range(1, 13), range(2, 6)):
+        cub = integrality_cubic(s, t, m)
+        cubics.append((cub.a, cub.b, cub.c))
+    hits = 0
+    for abc in cubics:
+        want = cubic_integer_roots_oracle(*abc)
+        assert integer_roots_of_monic_cubic(*abc) == want, abc
+        hits += want is not None
+    assert hits > 455  # the 455 cubics built from roots, and more
 
 
 def test_is_beta_laplacian_integral():

@@ -137,24 +137,26 @@ def test_a_beta_m_validation():
 
 
 def test_shared_line_graph_gives_a_beta_m_bitwise():
-    # the sweeps stack the line graphs of every tree of size n, solve a(L)
-    # once, then call _a_beta per m; each tree must get the bits that
-    # a_beta_m gives it alone
+    # the sweeps stack the line graphs of every tree of size n and call
+    # _a_beta once for all m, which solves a(L) once; each tree must get
+    # the bits that a_beta_m gives it alone
+    ms = (2, 3, 4)
     for n in range(3, 10):
         trees = enumerate_free_trees(n)
         adj = np.stack([line_graph(tree)[0].adj for tree in trees])
-        a_l = spectra._aconn(adj)
-        for m in (2, 3, 4):
+        got = _a_beta(adj, ms)
+        assert len(got) == len(ms)
+        for m, a in zip(ms, got):
             want = np.array([a_beta_m(tree, m) for tree in trees])
-            assert _a_beta(adj, a_l, m).tobytes() == want.tobytes(), (n, m)
+            assert a.tobytes() == want.tobytes(), (n, m)
 
 
 def test_stacked_a_beta_names_the_perturbed_tree(monkeypatch):
-    # the direct product solve of one tree moved by 1e-6: _a_beta must
-    # raise and name that tree by its index in the stack
+    # the direct product solve of one tree moved by 1e-6 at one m of a
+    # call for m = 2 and 3: _a_beta must raise and name that tree by its
+    # index in the stack
     trees = enumerate_free_trees(7)
     adj = np.stack([line_graph(tree)[0].adj for tree in trees])
-    a_l = spectra._aconn(adj)
 
     def perturbed(mat):
         vals = eigenvalues(mat)
@@ -165,10 +167,10 @@ def test_stacked_a_beta_names_the_perturbed_tree(monkeypatch):
     monkeypatch.setattr(spectra, "eigenvalues", perturbed)
     for m in (2, 3):
         bad = None
-        _a_beta(adj, a_l, m)  # unperturbed, the routes agree
+        _a_beta(adj, (2, 3))  # unperturbed, the routes agree
         for bad in (0, 5, len(trees) - 1):
             with pytest.raises(RuntimeError, match=f"^tree {bad} of the stack: decomposition value "):
-                _a_beta(adj, a_l, m)
+                _a_beta(adj, (2, 3))
 
 
 def test_assembled_matrices_have_no_negative_zero():

@@ -8,9 +8,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from spectree import spectra, verify
+from spectree import families, spectra, verify
 from spectree.families import (
-    _free_tree_parents,
     complete_graph,
     diam4_tree,
     enumerate_free_trees,
@@ -232,8 +231,8 @@ def test_thm_21_needs_a_nonempty_sweep():
 
 def test_thm_21_stacks_at_most_a_chunk_of_trees(monkeypatch):
     # n = 12 has 551 trees, more than one chunk: every stacked solve holds
-    # at most _SWEEP_CHUNK of them, and the stacks cover every tree once
-    # per matrix
+    # at most a chunk of them, and the stacks cover every tree once per
+    # matrix
     stacks = []
     solve = verify.eigenvalues
 
@@ -244,9 +243,9 @@ def test_thm_21_stacks_at_most_a_chunk_of_trees(monkeypatch):
     monkeypatch.setattr(verify, "eigenvalues", spy)
     monkeypatch.setattr(spectra, "eigenvalues", spy)
     check_theorem_21(12, (2,))
-    assert len(enumerate_free_trees(12)) == 551 > verify._SWEEP_CHUNK
+    assert len(enumerate_free_trees(12)) == 551 > families._TREE_CHUNK
     assert all(len(shape) == 3 for shape in stacks)
-    assert max(shape[0] for shape in stacks) == verify._SWEEP_CHUNK
+    assert max(shape[0] for shape in stacks) == families._TREE_CHUNK
     # a(L), Q_1(L) and L x K_2 per tree
     trees = sum(len(enumerate_free_trees(n)) for n in range(3, 13))
     assert sum(shape[0] for shape in stacks) == 3 * trees
@@ -268,26 +267,14 @@ def test_thm_21_names_the_stack_of_a_tree_whose_routes_disagree(monkeypatch):
         check_theorem_21(6, (3,))
 
 
-@pytest.mark.parametrize("tree, vertex, parent", [
-    (5, 6, 6),    # parent[v] >= v: not an earlier vertex
-    (17, 4, -1),  # a second root
-    (0, 0, 0),    # no root
-])
-def test_thm_21_rejects_a_row_that_is_not_a_tree(monkeypatch, tree, vertex, parent):
-    # the sweep reads the enumeration's parent rows through the same check
-    # as the enumerate command, which stands in for is_tree on each tree
-    real = verify._free_tree_parents
-
-    def broken(n):
-        parents = real(n)
-        if n == 8:
-            parents[tree, vertex] = parent
-        return parents
-
-    monkeypatch.setattr(verify, "_free_tree_parents", broken)
-    problem = f"tree {tree} on n = 8 vertices has parent {parent} at vertex {vertex}; "
-    with pytest.raises(ValueError, match=f"^{re.escape(problem)}"):
-        check_theorem_21(8)
+def test_thm_21_reports_do_not_depend_on_the_chunk(monkeypatch):
+    # every slice of a stacked solve gets the bits of a solve of that slice
+    # alone, so the reports, deviations included, are the same for any
+    # chunk size; n = 12 spans three default chunks
+    want = [r.to_dict() for r in check_theorem_21(12)]
+    for chunk in (1, 7):
+        monkeypatch.setattr(families, "_TREE_CHUNK", chunk)
+        assert [r.to_dict() for r in check_theorem_21(12)] == want, chunk
 
 
 def test_tree_chunks_match_each_trees_graph():
@@ -297,13 +284,13 @@ def test_tree_chunks_match_each_trees_graph():
     for n in range(3, 13):
         trees = enumerate_free_trees(n)
         chunks = list(verify._tree_chunks(n))
-        assert [c.lo for c in chunks] == list(range(0, len(trees), verify._SWEEP_CHUNK))
-        np.testing.assert_array_equal(np.concatenate([c.parents for c in chunks]), _free_tree_parents(n))
+        assert [c.lo for c in chunks] == list(range(0, len(trees), families._TREE_CHUNK))
+        assert sum(len(c.edges) for c in chunks) == len(trees)
         for chunk in chunks:
             assert chunk.line_adj.dtype == bool and chunk.line_adj.shape[1:] == (n - 1, n - 1)
             s, t = chunk.t1st
             connected = {m: chunk.connected(m).tolist() for m in (2, 3)}
-            for i, tree in enumerate(trees[chunk.lo:chunk.lo + len(chunk.parents)]):
+            for i, tree in enumerate(trees[chunk.lo:chunk.lo + len(chunk.edges)]):
                 lg = line_graph(tree)[0]
                 where = (n, chunk.lo + i)
                 assert np.array_equal(chunk.line_adj[i], lg.adj), where
