@@ -1,6 +1,6 @@
 """Command line front end.
 
-Subcommands: spectrum, aconn, beta, verify, table2, enumerate, export.
+Subcommands: spectrum, aconn, beta, verify, enumerate, export.
 Graphs come either from a family descriptor (--family "windmill:3,4") or a
 JSON file (--file graph.json); --line replaces the graph by its line graph
 before anything else runs. Text output prints values at 6 significant
@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from .eigen import eigenvalues, group_spectrum, spectrum_to_dict
-from .families import _free_tree_chunks, build, line_graph, parse_family, tkst_tree
+from .families import _free_tree_chunks, line_graph, parse_family, tkst_tree
 from .graphs import Graph, is_tree, load_graph
 from .spectra import (
     a_beta_m,
@@ -42,7 +42,7 @@ def _resolve_graph(parser: argparse.ArgumentParser, args) -> Graph:
         parser.error("give exactly one of --family or --file")
     if args.family:
         try:
-            g = build(parse_family(args.family))
+            g = parse_family(args.family)
         except (ValueError, MemoryError) as exc:
             parser.error(str(exc))
     else:
@@ -103,8 +103,8 @@ def _cmd_beta(parser, args) -> int:
     tree = _resolve_graph(parser, args)
     if not is_tree(tree):
         parser.error("beta expects a tree")
-    lg, _ = line_graph(tree)
     val = a_beta_m(tree, args.m)
+    lg, _ = line_graph(tree)
     scaled = (args.m - 1) * algebraic_connectivity(lg)
     qmin = q_min(lg, args.m)
     if args.format == "json":
@@ -140,15 +140,6 @@ def _cmd_verify(parser, args) -> int:
         verdict = "PASS" if all(r.ok for r in reports) else "FAIL"
         print(f"overall: {verdict}")
     return 0 if all(r.ok for r in reports) else 1
-
-
-def _cmd_table2(parser, args) -> int:
-    (report,) = run_claim("table-2")
-    if args.format == "json":
-        print(json.dumps(report.to_dict()))
-    else:
-        print(report.to_text())
-    return 0 if report.ok else 1
 
 
 def _cmd_enumerate(parser, args) -> int:
@@ -243,10 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=None, help="restrict thm-2.1 to a single m")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("table2", help="recompute the survey table of small trees")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=_cmd_table2)
 
     p = sub.add_parser("enumerate", help="all free trees on n vertices")
     p.add_argument("--n", type=int, required=True)

@@ -28,7 +28,6 @@ __all__ = [
     "CubicCoeffs",
     "star_product_spectrum",
     "t1st_line_laplacian_spectrum",
-    "integrality_cubic",
     "is_beta_laplacian_integral",
     "integer_roots_of_monic_cubic",
     "windmill_product_spectrum",
@@ -100,7 +99,8 @@ def t1st_line_laplacian_spectrum(s: int, t: int) -> Spectrum:
 class CubicCoeffs:
     """Monic cubic x^3 - a x^2 + b x - c carrying the non-fixed part of the
     Q_{m-1}(L(T(1,s,t))) spectrum; the exact integer coefficients are
-    computed from s, t and m."""
+    computed from s, t and m. It decides whether Lap(L(T(1,s,t)) x K_m) is
+    integral: all other eigenvalues of that product are integers."""
 
     s: int
     t: int
@@ -150,12 +150,6 @@ def _cubic(s: int, t: int, m: int) -> tuple[int, int, int]:
         + m * m * (m - 1) * (s * s * t + s * t * t)
     )
     return a, b, c
-
-
-def integrality_cubic(s: int, t: int, m: int) -> CubicCoeffs:
-    """The cubic factor deciding whether Lap(L(T(1,s,t)) x K_m) is integral
-    (all other eigenvalues of that product are integers automatically)."""
-    return CubicCoeffs(s, t, m)
 
 
 def integer_roots_of_monic_cubic(a: int, b: int, c: int) -> tuple[int, int, int] | None:
@@ -208,7 +202,7 @@ def integer_roots_of_monic_cubic(a: int, b: int, c: int) -> tuple[int, int, int]
 def is_beta_laplacian_integral(s: int, t: int, m: int) -> bool:
     """Exact integrality of Lap(L(T(1,s,t)) x K_m), cross-checked against
     the numeric eigensolve of the assembled product."""
-    exact = integrality_cubic(s, t, m).integer_roots() is not None  # checks s, t and m
+    exact = CubicCoeffs(s, t, m).integer_roots() is not None  # checks s, t and m
     vals = eigenvalues(laplacian(beta_m(tkst_tree(1, s, t), m)))
     numeric = spectrum_is_integral(group_spectrum(vals))
     if exact != numeric:

@@ -7,7 +7,6 @@ Family descriptors use a compact text form, e.g. "path:4", "tkst:1,2,3",
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -15,9 +14,7 @@ import numpy as np
 from .graphs import Graph, _bfs, _check_ints, _edge_arrays, from_edge_list, is_tree
 
 __all__ = [
-    "FamilyDescriptor",
     "parse_family",
-    "build",
     "path_graph",
     "star_graph",
     "complete_graph",
@@ -34,23 +31,8 @@ __all__ = [
     "tree_canonical_form",
 ]
 
-@dataclass(frozen=True)
-class FamilyDescriptor:
-    kind: str
-    params: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.kind not in _FAMILIES:
-            raise ValueError(f"unknown family kind {self.kind!r}")
-        arity = _FAMILIES[self.kind][1]
-        if arity is None:
-            if len(self.params) < 2 or len(self.params) != self.params[0] + 1:
-                raise ValueError("diam4 takes params (k, x1, .., xk)")
-        elif len(self.params) != arity:
-            raise ValueError(f"{self.kind} takes {arity} parameter(s)")
-
-
-def parse_family(text: str) -> FamilyDescriptor:
+def parse_family(text: str) -> Graph:
+    """The graph that a family descriptor names."""
     kind, sep, rest = text.strip().partition(":")
     kind = kind.strip().lower()
     if not sep or not rest:
@@ -65,12 +47,16 @@ def parse_family(text: str) -> FamilyDescriptor:
         params = tuple(map(int, parts))
     except ValueError:
         raise ValueError(f"bad family descriptor {text!r}: parameters must be integers") from None
-    return FamilyDescriptor(kind, params)
-
-
-def build(desc: FamilyDescriptor) -> Graph:
-    ctor, _ = _FAMILIES[desc.kind]
-    return ctor(*desc.params)
+    if kind not in _FAMILIES:
+        raise ValueError(f"unknown family kind {kind!r}")
+    ctor, arity = _FAMILIES[kind]
+    if arity is None:
+        # diam4's head and tail give at least two parameters
+        if len(params) != params[0] + 1:
+            raise ValueError("diam4 takes params (k, x1, .., xk)")
+    elif len(params) != arity:
+        raise ValueError(f"{kind} takes {arity} parameter(s)")
+    return ctor(*params)
 
 
 def path_graph(n: int) -> Graph:

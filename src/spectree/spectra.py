@@ -93,7 +93,6 @@ def product_laplacian_spectrum_decomposed(g: Graph, m: int) -> Spectrum:
 
 @dataclass(frozen=True)
 class ProductSpectrumResult:
-    m: int
     direct: Spectrum
     decomposed: Spectrum
 
@@ -102,7 +101,6 @@ def product_spectrum(g: Graph, m: int) -> ProductSpectrumResult:
     """Both spectrum routes for Lap(g x K_m); raises if they disagree
     beyond ROUTE_TOL."""
     res = ProductSpectrumResult(
-        m=m,
         direct=product_laplacian_spectrum_direct(g, m),
         decomposed=product_laplacian_spectrum_decomposed(g, m),
     )

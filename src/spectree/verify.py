@@ -16,10 +16,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .closedform import (
+    CubicCoeffs,
     _pendant_bound,
     book_aconn_bound,
     book_line_laplacian_spectrum,
-    integrality_cubic,
     is_beta_laplacian_integral,
     quad_roots,
     star_product_spectrum,
@@ -243,48 +243,6 @@ def classify_diam4(tree: Graph):
 
 # ---- the double-star characterization ----
 
-@dataclass(frozen=True, eq=False)
-class _TreeChunk:
-    """Trees lo, lo + 1, .. of the free trees on n >= 3 vertices, one chunk
-    of _free_tree_chunks, as the sweep reads them; row i of each array is
-    tree lo + i."""
-
-    lo: int
-    line_adj: np.ndarray  # (count, n - 1, n - 1), vertices in edge_list order
-    degrees: np.ndarray  # (count, n)
-    edges: list[str]  # "u-v,.." in edge_list order
-    star: np.ndarray  # (count,) bool, the star K_{1,n-1}
-    path: np.ndarray  # (count,) bool, the path P_n
-    t1st: tuple[np.ndarray, np.ndarray]  # (s, t) of _double_star
-
-    def connected(self, m: int) -> np.ndarray:
-        """Whether each L(X) x K_m is connected. L(X) is connected, and
-        bipartite iff X is a path (a vertex of degree >= 3 makes a
-        triangle), so by Weichsel's rule, as in product_connected, the
-        product is connected iff m >= 3 or X is not a path."""
-        return ~self.path | (m >= 3)
-
-
-def _tree_chunks(n: int):
-    """The free trees on n >= 3 vertices as one _TreeChunk record per chunk
-    of _free_tree_chunks, which raises unless every row is a tree's."""
-    cells = np.array([f"{u}-{v}" for u in range(n) for v in range(n)], dtype=object).reshape(n, n)
-    for lo, u, v in _free_tree_chunks(n)[1]:
-        # one count per edge end, in tree i's n slots from i * n
-        ends = np.hstack((u, v)) + np.arange(len(u))[:, None] * n
-        deg = np.bincount(ends.ravel(), minlength=len(u) * n).reshape(len(u), n)
-        top = deg.max(axis=1)
-        yield _TreeChunk(
-            lo=lo,
-            line_adj=_line_adj(u, v),
-            degrees=deg,
-            edges=[",".join(es) for es in cells[u, v].tolist()],
-            star=top == n - 1,
-            path=top <= 2,
-            t1st=_double_star(deg),
-        )
-
-
 def check_theorem_21(max_n: int = 8, ms: tuple[int, ...] = (2, 3)) -> list[VerificationReport]:
     """a(L(X) x K_m) = m-1 exactly for the double stars T(1,s,t), s,t >= 2,
     over every tree with 3 <= n <= max_n; one report per m in ms, in that
@@ -303,39 +261,49 @@ def check_theorem_21(max_n: int = 8, ms: tuple[int, ...] = (2, 3)) -> list[Verif
         _check_ints(2, m=m)
     out: list[list[CheckInstance]] = [[] for _ in ms]
     for n in range(3, max_n + 1):
-        for chunk in _tree_chunks(n):
+        cells = np.array([f"{u}-{v}" for u in range(n) for v in range(n)], dtype=object).reshape(n, n)
+        for lo, u, v in _free_tree_chunks(n)[1]:
             try:
-                betas = [b.tolist() for b in _a_beta(chunk.line_adj, ms)]
+                betas = [b.tolist() for b in _a_beta(_line_adj(u, v), ms)]
             except RuntimeError as exc:
-                raise RuntimeError(f"n={n}, stack from tree #{chunk.lo:02d}: {exc}") from exc
-            for m, a_m, insts in zip(ms, betas, out):
-                insts.extend(_sweep_instances(n, m, chunk, a_m))
+                raise RuntimeError(f"n={n}, stack from tree #{lo:02d}: {exc}") from exc
+            # one count per edge end, in tree i's n slots from i * n
+            ends = np.hstack((u, v)) + np.arange(len(u))[:, None] * n
+            deg = np.bincount(ends.ravel(), minlength=len(u) * n).reshape(len(u), n)
+            edges = [",".join(es) for es in cells[u, v].tolist()]
+            cols = (edges, deg.max(axis=1).tolist(), *(c.tolist() for c in _double_star(deg)))
+            for k, (es, top, s, t) in enumerate(zip(*cols)):
+                for m, a_m, insts in zip(ms, betas, out):
+                    insts.append(_sweep_instance(n, m, lo + k, es, top, s, t, a_m[k]))
     return [VerificationReport("thm-2.1", ROUTE_TOL, tuple(insts)) for insts in out]
 
 
-def _sweep_instances(n, m, chunk, a_m):
-    """The thm-2.1 instances at m of the trees on n vertices in chunk,
-    where a_m holds each tree's a(L x K_m)."""
-    bound = float(m - 1)
-    cols = (a_m, chunk.edges, chunk.path.tolist(), chunk.star.tolist(), *(c.tolist() for c in chunk.t1st))
-    for i, (a, edges, path, star, s, t, connected) in enumerate(zip(*cols, chunk.connected(m).tolist())):
-        desc = f"m={m} n={n}#{chunk.lo + i:02d} {edges}"
-        if path and m == 2:
-            yield CheckInstance(
-                descriptor=desc + " [path]",
-                expected="disconnected product, a = 0",
-                observed=f"connected={connected}, a={_fmt(a)}",
-                passed=(not connected) and abs(a) <= ROUTE_TOL,
-                deviation=abs(a),
-            )
-        elif star:
-            ex = second_smallest(star_product_spectrum(n, m))
-            note = " (= m-1 here)" if ex == m - 1 else ""
-            yield _instance(desc + f" [star{note}]", "=", ex, a, note=" (clique product)", requires=connected)
-        elif t >= 2:
-            yield _instance(desc + f" [T(1,{s},{t})]", "=", bound, a)
-        else:
-            yield _instance(desc, "<", bound, a, requires=connected)
+def _sweep_instance(n, m, i, edges, top, s, t, a) -> CheckInstance:
+    """The thm-2.1 instance at m of tree i on n vertices, with edges
+    "u-v,..", largest degree top, (s, t) of _double_star and
+    a = a(L(X) x K_m).
+
+    L(X) is connected, and bipartite iff X is a path (a vertex of degree
+    >= 3 makes a triangle), so by Weichsel's rule, as in product_connected,
+    the product is connected iff m >= 3 or X is not a path."""
+    desc = f"m={m} n={n}#{i:02d} {edges}"
+    path = top <= 2
+    connected = m >= 3 or not path
+    if path and m == 2:
+        return CheckInstance(
+            descriptor=desc + " [path]",
+            expected="disconnected product, a = 0",
+            observed=f"connected={connected}, a={_fmt(a)}",
+            passed=(not connected) and abs(a) <= ROUTE_TOL,
+            deviation=abs(a),
+        )
+    if top == n - 1:  # the star K_{1,n-1}
+        ex = second_smallest(star_product_spectrum(n, m))
+        note = " (= m-1 here)" if ex == m - 1 else ""
+        return _instance(desc + f" [star{note}]", "=", ex, a, note=" (clique product)", requires=connected)
+    if t >= 2:
+        return _instance(desc + f" [T(1,{s},{t})]", "=", float(m - 1), a)
+    return _instance(desc, "<", float(m - 1), a, requires=connected)
 
 
 def check_case_bounds_thm21() -> VerificationReport:
@@ -400,7 +368,7 @@ def check_corollary_21() -> VerificationReport:
             printed = f"s={s} t={t} source text prints top value s+t-1"
             out.append(_instance(printed, "=", float(s + t - 1), top, informational=True))
             for m in (2, 3):
-                cc = integrality_cubic(s, t, m)
+                cc = CubicCoeffs(s, t, m)
                 exact = cc.integer_roots()
                 try:  # raises when the exact and numeric verdicts disagree
                     numeric = is_beta_laplacian_integral(s, t, m)

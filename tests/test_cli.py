@@ -87,6 +87,13 @@ def test_beta_rejects_non_tree(capsys):
     assert exc.value.code == 2
 
 
+def test_beta_names_the_too_small_tree(capsys):
+    # one vertex, and one edge: a_beta_m's check runs before the line graph
+    for family in ("path:1", "path:2", "star:2"):
+        code, out, err = _run(capsys, ["beta", "--family", family])
+        assert (code, out, err) == (1, "", "error: a_beta_m needs a tree with >= 2 edges\n"), family
+
+
 def test_bad_m_and_n_are_usage_errors(capsys):
     for argv in (
         ["spectrum", "--family", "path:3", "--matrix", "q", "--m", "1"],
@@ -393,9 +400,13 @@ def test_verify_bad_claim(capsys):
 
 
 def test_table2(capsys):
-    code, out, _ = _run(capsys, ["table2"])
+    code, out, _ = _run(capsys, ["verify", "table-2"])
     assert code == 0
     assert out.startswith("claim table-2: PASS")
+    # the verify claim is the one way to run it
+    with pytest.raises(SystemExit) as exc:
+        main(["table2"])
+    assert exc.value.code == 2
 
 
 def test_tolerance_is_not_settable(capsys, monkeypatch):

@@ -13,7 +13,6 @@ from spectree.closedform import (
     book_aconn_bound,
     book_line_laplacian_spectrum,
     integer_roots_of_monic_cubic,
-    integrality_cubic,
     is_beta_laplacian_integral,
     quad_roots,
     star_product_spectrum,
@@ -109,7 +108,7 @@ def test_t1st_line_laplacian_closed_vs_direct():
 
 def test_cubic_roots_match_numpy():
     for s, t, m in ((2, 2, 2), (3, 3, 2), (4, 2, 3), (5, 5, 4), (1, 1, 2)):
-        cub = integrality_cubic(s, t, m)
+        cub = CubicCoeffs(s, t, m)
         got = np.array(cub.roots())
         want = np.sort(np.roots([1.0, -cub.a, cub.b, -cub.c]).real)
         np.testing.assert_allclose(got, want, atol=1e-7)
@@ -135,7 +134,7 @@ def test_cubic_is_the_charpoly_of_the_quotient_symbolically():
     for st_m in ((1, 1, 2), (3, 2, 2), (2, 5, 4)):
         at = dict(zip((s, t, m), st_m))
         want = sorted(complex(r).real for r in quot.subs(at).charpoly(x).nroots())
-        assert integrality_cubic(*st_m).roots() == pytest.approx(want, abs=1e-9)
+        assert CubicCoeffs(*st_m).roots() == pytest.approx(want, abs=1e-9)
 
 
 def _int_charpoly(sympy, mat, x):
@@ -195,7 +194,7 @@ def test_windmill_and_wprime_quadratics_divide_the_charpolys():
 
 
 def test_cubic_332_is_integral():
-    cub = integrality_cubic(3, 3, 2)
+    cub = CubicCoeffs(3, 3, 2)
     assert (cub.a, cub.b, cub.c) == (16, 79, 120)
     assert cub.integer_roots() == (3, 5, 8)
     np.testing.assert_allclose(cub.roots(), [3.0, 5.0, 8.0], atol=1e-9)
@@ -204,7 +203,7 @@ def test_cubic_332_is_integral():
 def test_cubic_coeffs_takes_only_s_t_m():
     # a, b and c are computed from s, t and m, so none of them can be
     # passed, and roots() and integer_roots() read the same cubic
-    cub = integrality_cubic(3, 3, 2)
+    cub = CubicCoeffs(3, 3, 2)
     assert CubicCoeffs(3, 3, 2) == cub
     for name in ("a", "b", "c"):
         with pytest.raises(TypeError):
@@ -236,7 +235,7 @@ def test_numpy_integers_give_the_python_int_coefficients():
 
 
 def test_cubic_222_is_not_integral():
-    cub = integrality_cubic(2, 2, 2)
+    cub = CubicCoeffs(2, 2, 2)
     assert cub.integer_roots() is None
     want = sorted([3.0, (7 - math.sqrt(17)) / 2, (7 + math.sqrt(17)) / 2])
     np.testing.assert_allclose(cub.roots(), want, atol=1e-9)
@@ -256,10 +255,10 @@ def test_integer_roots_of_monic_cubic():
 
 
 def test_integer_roots_of_a_cubic_with_a_large_constant_take_no_time():
-    # integrality_cubic(10**6, 10**6, 1000), which sympy factors as
+    # CubicCoeffs(10**6, 10**6, 1000), which sympy factors as
     # (x - 999999999)(x^2 - 2997999999x + 1997999998000000000); trial
     # division up to sqrt(c) ~ 4.5e13 would run for hours
-    cub = integrality_cubic(10**6, 10**6, 1000)
+    cub = CubicCoeffs(10**6, 10**6, 1000)
     abc = (3997999998, 4995999994002000001, 1997999996002000002000000000)
     assert (cub.a, cub.b, cub.c) == abc
     start = time.perf_counter()
@@ -282,7 +281,7 @@ def test_integer_roots_of_monic_cubic_match_trial_division():
         for x, y, z in itertools.combinations_with_replacement(range(-6, 7), 3)
     ]
     for s, t, m in itertools.product(range(1, 13), range(1, 13), range(2, 6)):
-        cub = integrality_cubic(s, t, m)
+        cub = CubicCoeffs(s, t, m)
         cubics.append((cub.a, cub.b, cub.c))
     hits = 0
     for abc in cubics:

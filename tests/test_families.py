@@ -11,7 +11,6 @@ from spectree.closedform import (
     book_aconn_bound,
     book_line_laplacian_spectrum,
     integer_roots_of_monic_cubic,
-    integrality_cubic,
     is_beta_laplacian_integral,
     star_product_spectrum,
     t1st_line_laplacian_spectrum,
@@ -22,10 +21,8 @@ from spectree.closedform import (
     wprime_quadratics,
 )
 from spectree.families import (
-    FamilyDescriptor,
     beta_m,
     book_graph,
-    build,
     cartesian,
     complete_graph,
     diam4_tree,
@@ -173,7 +170,6 @@ _INT_PARAMS = {
     "t1st_line_laplacian_spectrum": (t1st_line_laplacian_spectrum, (2, 3), (("s", 1), ("t", 1))),
     "CubicCoeffs": (CubicCoeffs, (2, 3, 3), (("s", 1), ("t", 1), ("m", 2))),
     "integer_roots_of_monic_cubic": (integer_roots_of_monic_cubic, (6, 11, 6), (("a", None), ("b", None), ("c", None))),
-    "integrality_cubic": (integrality_cubic, (2, 3, 3), (("s", 1), ("t", 1), ("m", 2))),
     "is_beta_laplacian_integral": (is_beta_laplacian_integral, (2, 2, 3), (("s", 1), ("t", 1), ("m", 2))),
     "windmill_product_spectrum": (windmill_product_spectrum, (2, 3, 3), (("eta", 2), ("mu", 3), ("m", 2))),
     "windmill_q_quadratic": (windmill_q_quadratic, (2, 3, 3), (("eta", 2), ("mu", 3), ("m", 2))),
@@ -241,17 +237,16 @@ def test_complete_graph_checks_n_before_the_cache():
 
 def test_parse_format_round_trip():
     for text in ("path:5", "star:4", "complete:6", "tkst:1,2,3", "windmill:3,4", "wprime:3,3", "book:5", "diam4:3;2,2,1"):
-        desc = parse_family(text)
-        assert parse_family(f" {text.upper()} ") == desc
-        build(desc)
+        np.testing.assert_array_equal(parse_family(f" {text.upper()} ").adj, parse_family(text).adj, err_msg=text)
 
 
 def test_parse_family_errors():
     for bad in ("nope:3", "path", "path:x", "tkst:1,2", "diam4:3;2", "diam4:a;1,1", ""):
         with pytest.raises(ValueError):
             parse_family(bad)
-    # a parameter that is not an integer literal is named as such
-    for bad in ("path:x", "windmill:2.5,3", "tkst:1,,2", "diam4:a;1,1", "diam4:3;2,b,1", "diam4:2,1;1"):
+    # a parameter that is not an integer literal is named as such, before
+    # the kind is checked
+    for bad in ("path:x", "windmill:2.5,3", "tkst:1,,2", "diam4:a;1,1", "diam4:3;2,b,1", "diam4:2,1;1", "nope:x"):
         with pytest.raises(ValueError, match=f"^bad family descriptor {re.escape(repr(bad))}: parameters must be integers$"):
             parse_family(bad)
 
@@ -268,16 +263,21 @@ def test_build_matches_constructors():
         ("book:3", book_graph(3)),
     )
     for text, want in cases:
-        np.testing.assert_array_equal(build(parse_family(text)).adj, want.adj, err_msg=text)
+        np.testing.assert_array_equal(parse_family(text).adj, want.adj, err_msg=text)
 
 
 def test_family_descriptor_validation():
-    with pytest.raises(ValueError):
-        FamilyDescriptor("unknown", (3,))
-    with pytest.raises(ValueError, match="path takes 1 parameter"):
-        FamilyDescriptor("path", (3, 4))
-    with pytest.raises(ValueError, match="diam4 takes params"):
-        FamilyDescriptor("diam4", (3, 2, 2))
+    cases = (
+        ("nope:3", "unknown family kind 'nope'"),
+        ("path:3,4", "path takes 1 parameter(s)"),
+        ("tkst:1,2", "tkst takes 3 parameter(s)"),
+        ("diam4:3;2,2", "diam4 takes params (k, x1, .., xk)"),
+        ("diam4:3", "diam4 needs 'k;x1,..,xk'"),
+        ("path", "bad family descriptor 'path'"),
+    )
+    for text, msg in cases:
+        with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+            parse_family(text)
 
 
 # ---- products ----

@@ -3,12 +3,13 @@ import hashlib
 import json
 import re
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from spectree import families, spectra, verify
+from spectree.closedform import star_product_spectrum
+from spectree.eigen import second_smallest
 from spectree.families import (
     complete_graph,
     diam4_tree,
@@ -277,33 +278,40 @@ def test_thm_21_reports_do_not_depend_on_the_chunk(monkeypatch):
         assert [r.to_dict() for r in check_theorem_21(12)] == want, chunk
 
 
-def test_tree_chunks_match_each_trees_graph():
-    # every tree with 3 <= n <= 12 (n = 12 spans three chunks): the
-    # record's line graph, edge string, degrees, classes and product
-    # connectivity against those of the tree's Graph, connectivity by BFS
-    for n in range(3, 13):
-        trees = enumerate_free_trees(n)
-        chunks = list(verify._tree_chunks(n))
-        assert [c.lo for c in chunks] == list(range(0, len(trees), families._TREE_CHUNK))
-        assert sum(len(c.edges) for c in chunks) == len(trees)
-        for chunk in chunks:
-            assert chunk.line_adj.dtype == bool and chunk.line_adj.shape[1:] == (n - 1, n - 1)
-            s, t = chunk.t1st
-            connected = {m: chunk.connected(m).tolist() for m in (2, 3)}
-            for i, tree in enumerate(trees[chunk.lo:chunk.lo + len(chunk.edges)]):
-                lg = line_graph(tree)[0]
-                where = (n, chunk.lo + i)
-                assert np.array_equal(chunk.line_adj[i], lg.adj), where
-                assert chunk.edges[i] == ",".join(f"{u}-{v}" for u, v in edge_list(tree)), where
-                deg = degrees(tree)
-                assert chunk.degrees[i].tolist() == deg.tolist(), where
-                want = double_star_oracle(tree)
-                assert classify_t1st(tree) == want, where
-                assert (int(s[i]), int(t[i])) == (want or (0, 0)), where
-                assert chunk.star[i] == is_star(tree), where
-                assert chunk.path[i] == (deg.max() <= 2), where
-                for m in (2, 3):
-                    assert connected[m][i] == product_connected(lg, m), (*where, m)
+def test_thm_21_instances_match_each_trees_graph(monkeypatch):
+    # every instance of check_theorem_21(10), built again from the tree's
+    # Graph with chunks of 7 trees, so that every n >= 8 spans several:
+    # edge string, classes and product connectivity (by BFS) of the tree,
+    # observed and deviation bit for bit, as a slice of a stacked solve
+    # gets the bits of a solve of that slice alone
+    monkeypatch.setattr(families, "_TREE_CHUNK", 7)
+    reports = check_theorem_21(10)
+    trees = [(n, i, tree) for n in range(3, 11) for i, tree in enumerate(enumerate_free_trees(n))]
+    for m, rep in zip((2, 3), reports):
+        assert len(rep.instances) == len(trees)
+        for (n, i, tree), got in zip(trees, rep.instances):
+            desc = f"m={m} n={n}#{i:02d} " + ",".join(f"{u}-{v}" for u, v in edge_list(tree))
+            a = a_beta_m(tree, m)
+            connected = product_connected(line_graph(tree)[0], m)
+            cls = classify_t1st(tree)
+            assert cls == double_star_oracle(tree), (n, i)
+            if degrees(tree).max() <= 2 and m == 2:
+                want = CheckInstance(
+                    desc + " [path]",
+                    "disconnected product, a = 0",
+                    f"connected={connected}, a={a:.10g}",
+                    not connected and abs(a) <= ROUTE_TOL,
+                    deviation=abs(a),
+                )
+            elif is_star(tree):
+                ex = second_smallest(star_product_spectrum(n, m))
+                note = " (= m-1 here)" if ex == m - 1 else ""
+                want = _instance(desc + f" [star{note}]", "=", ex, a, note=" (clique product)", requires=connected)
+            elif cls and cls[1] >= 2:
+                want = _instance(desc + f" [T(1,{cls[0]},{cls[1]})]", "=", float(m - 1), a)
+            else:
+                want = _instance(desc, "<", float(m - 1), a, requires=connected)
+            assert got == want, (m, n, i)
 
 
 @st.composite
