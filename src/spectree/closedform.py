@@ -160,9 +160,9 @@ def integer_roots_of_monic_cubic(a: int, b: int, c: int) -> tuple[int, int, int]
     roots, the larger being r = (a + sqrt(a^2 - 3b)) / 3; the largest root
     of f then lies in [r, 1 + max(|a|, |b|, |c|)), where f increases. So
     if it is an integer it is floor(r), or the least integer above
-    floor(r) where f >= 0, which bisection finds. Deflate by that root and
-    demand a perfect-square discriminant with matching parity for the
-    remaining quadratic.
+    floor(r) where f >= 0, which bisection finds. Deflate by that root to
+    x^2 + p x + q and demand a perfect-square discriminant p^2 - 4q; its
+    root has p's parity (the squares differ by 4q), so the roots are integers.
     """
     _check_ints(None, a=a, b=b, c=c)
 
@@ -191,7 +191,7 @@ def integer_roots_of_monic_cubic(a: int, b: int, c: int) -> tuple[int, int, int]
     if disc < 0:
         return None
     r = math.isqrt(disc)
-    if r * r != disc or (r - p) % 2 != 0:
+    if r * r != disc:
         return None
     x1 = (-p + r) // 2
     x2 = (-p - r) // 2

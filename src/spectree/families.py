@@ -219,7 +219,7 @@ def enumerate_free_trees(n: int) -> list[Graph]:
     """All unlabeled trees on n vertices, one representative each.
 
     The representatives are built a chunk at a time from the checked
-    parent rows of _free_tree_parents, through one (count, n, n) adjacency
+    level rows of _free_tree_levels, through one (count, n, n) adjacency
     array per chunk, and come in the same order: sorted by the
     center-rooted canonical encoding. Vertex 0 of each is a center.
     Deterministic."""
@@ -239,39 +239,45 @@ _TREE_CHUNK = 256
 
 
 def _free_tree_chunks(n: int):
-    """The free trees on n vertices, from the rows of _free_tree_parents,
+    """The free trees on n vertices, from the rows of _free_tree_levels,
     checked once: (count, chunks). chunks yields (lo, u, v) for trees lo,
     lo + 1, .. in enumeration order, up to _TREE_CHUNK of them; tree lo + i
     has edges (u[i, j], v[i, j]), u < v, sorted as edge_list sorts them.
 
-    Raises at once unless every row is a preorder parent array of a tree:
-    row[0] = -1 and 0 <= row[v] < v for v >= 1, so each vertex but 0 has
-    one edge to an earlier vertex."""
-    parents = _free_tree_parents(n)
-    ok = (parents >= 0) & (parents < np.arange(n))
-    ok[:, 0] = parents[:, 0] == -1
-    bad = np.argwhere(~ok)
+    Raises at once unless every row is a preorder level sequence:
+    row[0] = 0 and 1 <= row[v] <= row[v - 1] + 1 for v >= 1. Every level
+    from 0 to row[v - 1] then occurs before v, so v's parent, the last
+    earlier vertex one level up, exists and 0 <= parent < v."""
+    levels = _free_tree_levels(n)
+    # row[v] - 1 wraps to 255 in uint8 when row[v] = 0, above every earlier level
+    bad = np.argwhere(np.hstack((levels[:, :1] != 0, levels[:, 1:] - 1 > levels[:, :-1])))
     if len(bad):
         i, v = bad[0]
         raise ValueError(
-            f"tree {i} on n = {n} vertices has parent {parents[i, v]} at vertex {v}; "
-            "a preorder parent array has -1 at vertex 0 and 0 <= parent < v at each vertex v >= 1"
+            f"tree {i} on n = {n} vertices has level {levels[i, v]} at vertex {v}; a preorder level "
+            "sequence has 0 at vertex 0 and 1 <= level <= previous level + 1 at each vertex v >= 1"
         )
 
     def chunks():
-        # each vertex v >= 1 has the edge (parent[v], v) with parent[v] < v,
-        # so sorting the keys u * n + v orders the edges by (u, v)
-        for lo in range(0, len(parents), _TREE_CHUNK):
-            keys = np.sort(parents[lo:lo + _TREE_CHUNK, 1:] * n + np.arange(1, n), axis=1)
+        vertex = np.arange(n)
+        for lo in range(0, len(levels), _TREE_CHUNK):
+            rows = levels[lo:lo + _TREE_CHUNK]
+            parents = np.full(rows.shape, -1)
+            for level in range(1, int(rows.max()) + 1):
+                above = np.maximum.accumulate(np.where(rows == level - 1, vertex, -1), axis=1)
+                np.copyto(parents, above, where=rows == level)
+            # each vertex v >= 1 has the edge (parent[v], v) with parent[v] < v,
+            # so sorting the keys u * n + v orders the edges by (u, v)
+            keys = np.sort(parents[:, 1:] * n + vertex[1:], axis=1)
             yield (lo, *np.divmod(keys, n))
 
-    return len(parents), chunks()
+    return len(levels), chunks()
 
 
-def _free_tree_parents(n: int) -> np.ndarray:
+def _free_tree_levels(n: int) -> np.ndarray:
     """One representative of each unlabeled tree on n vertices, as a
-    (count, n) int array sorted by canonical encoding. Each row is a parent
-    array in preorder: row[0] = -1 and 0 <= row[v] < v for v >= 1.
+    (count, n) uint8 array of preorder level sequences sorted by canonical
+    encoding.
 
     The trees come from the free-tree generator of Wright, Richmond,
     Odlyzko and McKay (SIAM J. Comput. 15, 1986), which emits each free
@@ -291,7 +297,7 @@ def _free_tree_parents(n: int) -> np.ndarray:
     first and the sequence is canonical; the larger of the two is kept.
     Rows are sorted by decreasing sequence, which is increasing encoding (at
     the first difference, a deeper next level writes "(" where the other
-    writes ")"). Vertex v's parent is the last earlier vertex one level up.
+    writes ")").
     """
     _check_ints(1, n=n)
     seq = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
@@ -321,14 +327,7 @@ def _free_tree_parents(n: int) -> np.ndarray:
                 h = max(seq[1:m])
                 seq[n - h:] = range(1, h + 1)
     seqs = np.frombuffer(kept, dtype=np.uint8).reshape(-1, n)
-    seqs = seqs[np.lexsort(~seqs.T[::-1])]
-    parents = np.full(seqs.shape, -1)
-    # int16 temporaries keep the peak low
-    vertex = np.arange(n, dtype=np.int16)
-    for level in range(1, int(seqs.max()) + 1):
-        above = np.maximum.accumulate(np.where(seqs == level - 1, vertex, -1), axis=1)
-        np.copyto(parents, above, where=seqs == level)
-    return parents
+    return seqs[np.lexsort(~seqs.T[::-1])]
 
 
 def _successor(seq: list[int], p: int) -> None:

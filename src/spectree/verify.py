@@ -160,17 +160,17 @@ def _fmt(x: float) -> str:
     return f"{x:.10g}"
 
 
-def _instance(desc, op, bound, observed, informational=False, tol=ROUTE_TOL, note="", requires=True) -> CheckInstance:
+def _instance(desc, op, bound, observed, informational=False, tol=ROUTE_TOL, note="") -> CheckInstance:
     """observed against bound under op: "=" and "<=" pass when the
     deviation (|observed - bound|, or the excess over bound) is within tol;
     "<" needs observed below bound by more than tol. note is appended to
-    the expected text, and the instance passes only if requires holds too."""
+    the expected text."""
     dev = abs(observed - bound) if op == "=" else max(0.0, observed - bound)
     return CheckInstance(
         descriptor=desc,
         expected=f"{op} {_fmt(bound)}{note}",
         observed=_fmt(observed),
-        passed=requires and (observed < bound - tol if op == "<" else dev <= tol),
+        passed=observed < bound - tol if op == "<" else dev <= tol,
         informational=informational,
         deviation=dev,
     )
@@ -285,25 +285,23 @@ def _sweep_instance(n, m, i, edges, top, s, t, a) -> CheckInstance:
 
     L(X) is connected, and bipartite iff X is a path (a vertex of degree
     >= 3 makes a triangle), so by Weichsel's rule, as in product_connected,
-    the product is connected iff m >= 3 or X is not a path."""
+    the product is disconnected, with a = 0, iff X is a path and m = 2."""
     desc = f"m={m} n={n}#{i:02d} {edges}"
-    path = top <= 2
-    connected = m >= 3 or not path
-    if path and m == 2:
+    if top <= 2 and m == 2:  # the path
         return CheckInstance(
             descriptor=desc + " [path]",
             expected="disconnected product, a = 0",
-            observed=f"connected={connected}, a={_fmt(a)}",
-            passed=(not connected) and abs(a) <= ROUTE_TOL,
+            observed=f"connected={abs(a) > ROUTE_TOL}, a={_fmt(a)}",
+            passed=abs(a) <= ROUTE_TOL,
             deviation=abs(a),
         )
     if top == n - 1:  # the star K_{1,n-1}
         ex = second_smallest(star_product_spectrum(n, m))
         note = " (= m-1 here)" if ex == m - 1 else ""
-        return _instance(desc + f" [star{note}]", "=", ex, a, note=" (clique product)", requires=connected)
+        return _instance(desc + f" [star{note}]", "=", ex, a, note=" (clique product)")
     if t >= 2:
         return _instance(desc + f" [T(1,{s},{t})]", "=", float(m - 1), a)
-    return _instance(desc, "<", float(m - 1), a, requires=connected)
+    return _instance(desc, "<", float(m - 1), a)
 
 
 def check_case_bounds_thm21() -> VerificationReport:

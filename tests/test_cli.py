@@ -237,7 +237,7 @@ def test_enumerate_csv_and_text_golden(capsys, fmt):
 
 
 def test_enumerate_writes_what_the_graph_path_wrote(capsys, monkeypatch):
-    # enumerate writes from the generator's parent arrays, a chunk at a
+    # enumerate writes from the generator's level rows, a chunk at a
     # time; the reference builds each tree's Graph and reads the edges back
     # from its adjacency
     default = families._TREE_CHUNK
@@ -252,27 +252,27 @@ def test_enumerate_writes_what_the_graph_path_wrote(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("reader", ["json", "csv", "text", "enumerate_free_trees", "check_theorem_21"])
-@pytest.mark.parametrize("tree, vertex, parent", [
-    (5, 6, 6),    # parent[v] >= v: not an earlier vertex
-    (17, 4, -1),  # a second root
-    (0, 0, 0),    # no root
+@pytest.mark.parametrize("tree, vertex, level", [
+    (0, 0, 1),   # a nonzero root level
+    (17, 4, 0),  # a second root
+    (5, 6, 3),   # a jump of 2: vertex 5 is at level 1
 ])
-def test_enumerate_rejects_a_row_that_is_not_a_tree(capsys, monkeypatch, reader, tree, vertex, parent):
+def test_enumerate_rejects_a_row_that_is_not_a_tree(capsys, monkeypatch, reader, tree, vertex, level):
     # enumerate in each format, enumerate_free_trees and the thm-2.1 sweep
-    # read the parent rows through one check, which stands in for is_tree
+    # read the level rows through one check, which stands in for is_tree
     # on each tree and raises before anything is written
-    real = families._free_tree_parents
+    real = families._free_tree_levels
 
     def broken(n):
-        parents = real(n)
+        levels = real(n)
         if n == 8:
-            parents[tree, vertex] = parent
-        return parents
+            levels[tree, vertex] = level
+        return levels
 
-    monkeypatch.setattr(families, "_free_tree_parents", broken)
+    monkeypatch.setattr(families, "_free_tree_levels", broken)
     problem = (
-        f"tree {tree} on n = 8 vertices has parent {parent} at vertex {vertex}; "
-        "a preorder parent array has -1 at vertex 0 and 0 <= parent < v at each vertex v >= 1"
+        f"tree {tree} on n = 8 vertices has level {level} at vertex {vertex}; a preorder level "
+        "sequence has 0 at vertex 0 and 1 <= level <= previous level + 1 at each vertex v >= 1"
     )
     if reader in ("json", "csv", "text"):
         assert _run(capsys, ["enumerate", "--n", "8", "--format", reader]) == (1, "", f"error: {problem}\n")

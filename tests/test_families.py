@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from spectree import families
 from spectree.closedform import (
@@ -458,6 +459,50 @@ def test_enumeration_keeps_largest_level_sequence():
     for n in range(1, 11):
         for tree in enumerate_free_trees(n):
             assert edge_list(tree) == representative_oracle(_relabel(rng, tree))
+
+
+@st.composite
+def _level_rows(draw):
+    """One to four level sequences of one length n <= 9, and in about half
+    of the draws one entry set to any level from 0 to n, which may break
+    its row."""
+    n = draw(st.integers(1, 9))
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        row = [0]
+        for _ in range(n - 1):
+            row.append(draw(st.integers(1, row[-1] + 1)))
+        rows.append(row)
+    if draw(st.booleans()):
+        rows[draw(st.integers(0, len(rows) - 1))][draw(st.integers(0, n - 1))] = draw(st.integers(0, n))
+    return np.array(rows, dtype=np.uint8)
+
+
+@PROPERTY
+@given(_level_rows())
+def test_rows_that_pass_the_level_check_give_an_earlier_parent_for_each_vertex(rows):
+    # the level check is the only check on the generator's rows: a row that
+    # passes it must give each vertex v >= 1 one edge to its parent, the
+    # last earlier vertex one level up, with 0 <= parent < v; the first row
+    # and vertex that fail it must be named
+    n = rows.shape[1]
+    bad = [(i, v) for i, row in enumerate(rows.tolist()) for v in range(n)
+           if not (row[v] == 0 if v == 0 else 1 <= row[v] <= row[v - 1] + 1)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(families, "_free_tree_levels", lambda _: rows.copy())
+        if bad:
+            i, v = bad[0]
+            problem = f"tree {i} on n = {n} vertices has level {rows[i, v]} at vertex {v}; "
+            with pytest.raises(ValueError, match=f"^{re.escape(problem)}"):
+                families._free_tree_chunks(n)
+            return
+        count, chunks = families._free_tree_chunks(n)
+        ((lo, u, v),) = chunks
+    assert (count, lo) == (len(rows), 0)
+    for row, us, vs in zip(rows.tolist(), u.tolist(), v.tolist()):
+        parents = [max((w for w in range(x) if row[w] == row[x] - 1), default=-1) for x in range(1, n)]
+        assert all(0 <= p < x for x, p in enumerate(parents, start=1))
+        assert list(zip(us, vs)) == sorted(zip(parents, range(1, n)))
 
 
 def test_canonical_form_of_paths_and_stars():

@@ -17,6 +17,7 @@ from spectree.families import (
 )
 from spectree.graphs import Graph, from_edge_list
 from spectree.spectra import (
+    ROUTE_TOL,
     _a_beta,
     a_beta_m,
     adjacency_matrix,
@@ -152,25 +153,28 @@ def test_shared_line_graph_gives_a_beta_m_bitwise():
 
 
 def test_stacked_a_beta_names_the_perturbed_tree(monkeypatch):
-    # the direct product solve of one tree moved by 1e-6 at one m of a
-    # call for m = 2 and 3: _a_beta must raise and name that tree by its
+    # the direct product solve of one tree moved at one m of a call for
+    # m = 2 and 3, either way: by 0.5 * ROUTE_TOL the routes still agree,
+    # and by 2 * ROUTE_TOL _a_beta must raise and name that tree by its
     # index in the stack
     trees = enumerate_free_trees(7)
     adj = np.stack([line_graph(tree)[0].adj for tree in trees])
 
     def perturbed(mat):
         vals = eigenvalues(mat)
-        if bad is not None and mat.shape[-1] == adj.shape[-1] * m:  # the assembled L x K_m
-            vals[bad] += 1e-6
+        if mat.shape[-1] == adj.shape[-1] * m:  # the assembled L x K_m
+            vals[bad] += shift
         return vals
 
     monkeypatch.setattr(spectra, "eigenvalues", perturbed)
     for m in (2, 3):
-        bad = None
-        _a_beta(adj, (2, 3))  # unperturbed, the routes agree
         for bad in (0, 5, len(trees) - 1):
-            with pytest.raises(RuntimeError, match=f"^tree {bad} of the stack: decomposition value "):
+            for sign in (1, -1):
+                shift = sign * 0.5 * ROUTE_TOL
                 _a_beta(adj, (2, 3))
+                shift = sign * 2 * ROUTE_TOL
+                with pytest.raises(RuntimeError, match=f"^tree {bad} of the stack: decomposition value "):
+                    _a_beta(adj, (2, 3))
 
 
 def test_assembled_matrices_have_no_negative_zero():

@@ -3,6 +3,7 @@ import hashlib
 import json
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -26,6 +27,7 @@ from spectree.verify import (
     CheckInstance,
     VerificationReport,
     _instance,
+    _multiset_instance,
     check_corollary_31,
     check_theorem_21,
     check_theorem_das,
@@ -180,16 +182,23 @@ def test_all_claims_registry():
 
 
 def test_every_check_compares_at_the_route_tolerance():
-    # = and <= allow ROUTE_TOL, no more
-    assert _instance("eq", "=", 1.0, 1.0 + ROUTE_TOL / 2).passed
-    assert not _instance("eq", "=", 1.0, 1.0 + 2 * ROUTE_TOL).passed
-    assert not _instance("eq", "=", 1.0, 1.0 - 2 * ROUTE_TOL).passed
-    assert _instance("le", "<=", 1.0, 1.0 + ROUTE_TOL / 2).passed
-    assert not _instance("le", "<=", 1.0, 1.0 + 2 * ROUTE_TOL).passed
+    # 0.5 * ROUTE_TOL off the bound passes and 2 * ROUTE_TOL fails: = on
+    # either side, <= above, and the multiset check at any one value, either
+    # way; < needs a gap wider than ROUTE_TOL, so it fails at the first
+    # and passes at the second
+    closed = np.array([0.0, 1.0, 2.0])
+    for scale, within in ((0.5, True), (2.0, False)):
+        d = scale * ROUTE_TOL
+        assert _instance("eq", "=", 1.0, 1.0 + d).passed == within
+        assert _instance("eq", "=", 1.0, 1.0 - d).passed == within
+        assert _instance("le", "<=", 1.0, 1.0 + d).passed == within
+        assert _instance("lt", "<", 1.0, 1.0 - d).passed != within
+        for k in range(len(closed)):
+            for step in (d, -d):
+                direct = closed.copy()
+                direct[k] += step
+                assert _multiset_instance("ms", closed, direct).passed == within, (scale, k, step)
     assert _instance("le", "<=", 1.0, 0.0).passed
-    # < needs a gap wider than ROUTE_TOL
-    assert not _instance("lt", "<", 1.0, 1.0 - ROUTE_TOL / 2).passed
-    assert _instance("lt", "<", 1.0, 1.0 - 2 * ROUTE_TOL).passed
     for claim in ALL_CLAIMS:
         for rep in run_claim(claim):
             assert rep.tolerance == (0.01 if claim == "table-2" else ROUTE_TOL), claim
@@ -279,23 +288,27 @@ def test_thm_21_reports_do_not_depend_on_the_chunk(monkeypatch):
 
 
 def test_thm_21_instances_match_each_trees_graph(monkeypatch):
-    # every instance of check_theorem_21(10), built again from the tree's
-    # Graph with chunks of 7 trees, so that every n >= 8 spans several:
-    # edge string, classes and product connectivity (by BFS) of the tree,
-    # observed and deviation bit for bit, as a slice of a stacked solve
-    # gets the bits of a solve of that slice alone
+    # every instance of check_theorem_21(10) at m = 2, 3 and 4, built again
+    # from the tree's Graph with chunks of 7 trees, so that every n >= 8
+    # spans several: edge string, classes and product connectivity (by BFS)
+    # of the tree, observed and deviation bit for bit, as a slice of a
+    # stacked solve gets the bits of a solve of that slice alone; the
+    # product is disconnected only for the path at m = 2
     monkeypatch.setattr(families, "_TREE_CHUNK", 7)
-    reports = check_theorem_21(10)
+    ms = (2, 3, 4)
+    reports = check_theorem_21(10, ms)
     trees = [(n, i, tree) for n in range(3, 11) for i, tree in enumerate(enumerate_free_trees(n))]
-    for m, rep in zip((2, 3), reports):
+    for m, rep in zip(ms, reports):
         assert len(rep.instances) == len(trees)
         for (n, i, tree), got in zip(trees, rep.instances):
             desc = f"m={m} n={n}#{i:02d} " + ",".join(f"{u}-{v}" for u, v in edge_list(tree))
             a = a_beta_m(tree, m)
+            path = degrees(tree).max() <= 2
             connected = product_connected(line_graph(tree)[0], m)
+            assert connected == (not (path and m == 2)), (m, n, i)
             cls = classify_t1st(tree)
             assert cls == double_star_oracle(tree), (n, i)
-            if degrees(tree).max() <= 2 and m == 2:
+            if path and m == 2:
                 want = CheckInstance(
                     desc + " [path]",
                     "disconnected product, a = 0",
@@ -306,11 +319,11 @@ def test_thm_21_instances_match_each_trees_graph(monkeypatch):
             elif is_star(tree):
                 ex = second_smallest(star_product_spectrum(n, m))
                 note = " (= m-1 here)" if ex == m - 1 else ""
-                want = _instance(desc + f" [star{note}]", "=", ex, a, note=" (clique product)", requires=connected)
+                want = _instance(desc + f" [star{note}]", "=", ex, a, note=" (clique product)")
             elif cls and cls[1] >= 2:
                 want = _instance(desc + f" [T(1,{cls[0]},{cls[1]})]", "=", float(m - 1), a)
             else:
-                want = _instance(desc, "<", float(m - 1), a, requires=connected)
+                want = _instance(desc, "<", float(m - 1), a)
             assert got == want, (m, n, i)
 
 
