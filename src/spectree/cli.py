@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 import numpy as np
@@ -21,7 +22,6 @@ from .families import _free_tree_chunks, line_graph, parse_family, tkst_tree
 from .graphs import Graph, is_tree, load_graph
 from .spectra import (
     a_beta_m,
-    adjacency_matrix,
     algebraic_connectivity,
     laplacian,
     q_matrix,
@@ -73,7 +73,7 @@ def _cmd_spectrum(parser, args) -> int:
     if args.matrix == "laplacian":
         mat = laplacian(g)
     elif args.matrix == "adjacency":
-        mat = adjacency_matrix(g)
+        mat = g.adj
     else:
         mat = q_matrix(g, args.m)
     spec = group_spectrum(eigenvalues(mat))
@@ -85,15 +85,11 @@ def _cmd_spectrum(parser, args) -> int:
 
 
 def _cmd_aconn(parser, args) -> int:
-    g = _resolve_graph(parser, args)
-    val = algebraic_connectivity(g)
+    val = algebraic_connectivity(_resolve_graph(parser, args))
     if args.format == "json":
         print(json.dumps({"value": val}))
-    elif args.format == "csv":
-        print("value")
-        print(repr(val))
     else:
-        print(f"{val:.6g}")
+        _print_rows([(val,)], ("value",), args.format)
     return 0
 
 
@@ -110,8 +106,7 @@ def _cmd_beta(parser, args) -> int:
     if args.format == "json":
         print(json.dumps({"m": args.m, "value": val, "scaled_aconn": scaled, "q_min": qmin}))
     elif args.format == "csv":
-        print("m,value,scaled_aconn,q_min")
-        print(f"{args.m},{val!r},{scaled!r},{qmin!r}")
+        _print_rows([(args.m, val, scaled, qmin)], ("m", "value", "scaled_aconn", "q_min"), "csv")
     else:
         print(f"{val:.6g}")
         print(f"# (m-1)*a(L(X)) = {scaled:.6g}, q_min = {qmin:.6g}")
@@ -222,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p.set_defaults(func=_cmd_aconn)
 
-    p = sub.add_parser("beta", help="a(L(X) x K_m) for a tree X, both routes")
+    p = sub.add_parser("beta", help="a(L(X) x K_m) for a tree X, and its terms (m-1)*a(L(X)) and q_min, whose minimum it must match")
     _add_graph_args(p, with_line=False)
     p.add_argument("--m", type=int, default=2)
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
@@ -254,7 +249,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(parser, args)
+        status = args.func(parser, args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the reader closed the pipe: send what is still buffered to
+        # /dev/null, so the flush at exit cannot fail again, and exit with
+        # the status a shell reports for a filter killed by SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -26,7 +26,6 @@ __all__ = [
     "Spectrum",
     "eigenvalues",
     "eigensystem",
-    "second_smallest",
     "group_spectrum",
     "spectrum_from_pairs",
     "spectra_equal",
@@ -169,16 +168,6 @@ def _merge(vals: list[float], mults: list[int]) -> Spectrum:
             prev = v
         pairs.append((wsum / tot, tot))
     return Spectrum(pairs=tuple(pairs))
-
-
-def second_smallest(s: Spectrum) -> float:
-    """Second entry of the flattened list, counting multiplicity."""
-    if s.dimension < 2:
-        raise ValueError("need at least two eigenvalues")
-    v0, m0 = s.pairs[0]
-    if m0 >= 2:
-        return float(v0)
-    return float(s.pairs[1][0])
 
 
 def spectra_equal(a: Spectrum, b: Spectrum, tol: float) -> bool:

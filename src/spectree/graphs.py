@@ -20,7 +20,6 @@ __all__ = [
     "from_edge_list",
     "edge_list",
     "degrees",
-    "min_degree",
     "is_connected",
     "is_bipartite",
     "is_tree",
@@ -124,10 +123,6 @@ def degrees(g: Graph) -> np.ndarray:
     return g.adj.sum(axis=1).astype(np.int64)
 
 
-def min_degree(g: Graph) -> int:
-    return int(degrees(g).min())
-
-
 def _bfs(g: Graph, s: int) -> tuple[list[int], list[int]]:
     # the vertices reachable from s in visiting order (farthest last) and
     # each one's parent, s its own; unreached vertices keep -1
@@ -178,8 +173,8 @@ class BlockDecomposition:
 
 
 def block_decomposition(g: Graph) -> BlockDecomposition:
-    """Hopcroft-Tarjan biconnected components, iteratively. Requires g
-    connected."""
+    """Hopcroft-Tarjan biconnected components by one iterative DFS over a
+    stack of found vertices. Requires g connected."""
     if not is_connected(g):
         raise ValueError("block decomposition requires a connected graph")
     n = g.n
@@ -189,55 +184,40 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
     nbrs = g.neighbors
     disc = [-1] * n
     low = [0] * n
-    counter = 0
-    edge_stack: list[tuple[int, int]] = []
-    block_edge_sets: list[list[tuple[int, int]]] = []
-
-    # explicit stack frames: (vertex, parent, iterator index)
-    ptr = [0] * n
-    parent = [-1] * n
-    disc[0] = low[0] = counter
-    counter += 1
-    stack = [0]
-    while stack:
-        v = stack[-1]
-        if ptr[v] < len(nbrs[v]):
-            w = nbrs[v][ptr[v]]
-            ptr[v] += 1
-            if disc[w] == -1:
-                parent[w] = v
+    disc[0] = 0
+    counter = 1
+    found: list[int] = []  # discovered vertices not yet in a block, root excluded
+    path = [(0, iter(nbrs[0]))]  # the DFS path, each vertex with its unread neighbours
+    blocks = []
+    while path:
+        v, rest = path[-1]
+        for w in rest:
+            if disc[w] < 0:
                 disc[w] = low[w] = counter
                 counter += 1
-                edge_stack.append((v, w))
-                stack.append(w)
-            elif w != parent[v] and disc[w] < disc[v]:
-                edge_stack.append((v, w))
-                low[v] = min(low[v], disc[w])
-        else:
-            stack.pop()
-            if not stack:
+                found.append(w)
+                path.append((w, iter(nbrs[w])))
                 break
-            u = stack[-1]
-            low[u] = min(low[u], low[v])
-            if low[v] >= disc[u]:
-                # (u, v) closes a block
-                block = []
-                while edge_stack:
-                    e = edge_stack.pop()
-                    block.append(e)
-                    if e == (u, v):
-                        break
-                block_edge_sets.append(block)
+            # the edge back to v's parent lowers low[v] only to the
+            # parent's disc, so the block test below is unchanged
+            low[v] = min(low[v], disc[w])
+        else:
+            path.pop()
+            if path:
+                u = path[-1][0]
+                low[u] = min(low[u], low[v])
+                if low[v] >= disc[u]:
+                    # v's subtree, less the blocks already cut from it, and u
+                    block = [u]
+                    while block[-1] != v:
+                        block.append(found.pop())
+                    blocks.append(tuple(sorted(block)))
 
-    blocks = []
-    for es in block_edge_sets:
-        verts = sorted({x for e in es for x in e})
-        blocks.append(tuple(verts))
-    membership: dict[int, int] = {}
+    membership = [0] * n
     for b in blocks:
         for v in b:
-            membership[v] = membership.get(v, 0) + 1
-    cut = tuple(sorted(v for v, c in membership.items() if c >= 2))
+            membership[v] += 1
+    cut = tuple(v for v, c in enumerate(membership) if c >= 2)
     return BlockDecomposition(tuple(blocks), cut)
 
 

@@ -21,7 +21,6 @@ from .graphs import Graph, _check_ints, is_bipartite, is_connected, is_tree
 
 __all__ = [
     "ROUTE_TOL",
-    "adjacency_matrix",
     "laplacian",
     "q_matrix",
     "product_laplacian_spectrum_direct",
@@ -36,10 +35,6 @@ __all__ = [
 ]
 
 ROUTE_TOL = 1e-8  # largest gap allowed between the direct and decomposed routes
-
-
-def adjacency_matrix(g: Graph) -> np.ndarray:
-    return g.adj.astype(np.float64)
 
 
 def laplacian(g: Graph) -> np.ndarray:

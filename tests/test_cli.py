@@ -1,15 +1,19 @@
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from spectree import cli, closedform, families
 from spectree.cli import main
-from spectree.families import enumerate_free_trees, tkst_tree
+from spectree.families import enumerate_free_trees, line_graph, parse_family, tkst_tree
 from spectree.graphs import save_graph
-from spectree.spectra import ROUTE_TOL
+from spectree.spectra import ROUTE_TOL, a_beta_m, algebraic_connectivity, q_min
 from spectree.verify import check_theorem_21
 
 from _oracles import enumerate_output_oracle
@@ -79,6 +83,33 @@ def test_beta_json(capsys):
     assert d["m"] == 3
     assert d["value"] == pytest.approx(2.0, abs=1e-9)
     assert d["value"] == pytest.approx(min(d["scaled_aconn"], d["q_min"]), abs=1e-12)
+
+
+def test_aconn_and_beta_bytes(capsys):
+    # text prints each value at :.6g, csv prints its repr under a header
+    val = algebraic_connectivity(line_graph(parse_family("book:3"))[0])
+    assert _run(capsys, ["aconn", "--family", "book:3", "--line"]) == (0, f"{val:.6g}\n", "")
+    assert _run(capsys, ["aconn", "--family", "book:3", "--line", "--format", "csv"]) == (0, f"value\n{val!r}\n", "")
+    tree = tkst_tree(1, 2, 2)
+    lg = line_graph(tree)[0]
+    row = f"3,{a_beta_m(tree, 3)!r},{2 * algebraic_connectivity(lg)!r},{q_min(lg, 3)!r}"
+    got = _run(capsys, ["beta", "--family", "tkst:1,2,2", "--m", "3", "--format", "csv"])
+    assert got == (0, f"m,value,scaled_aconn,q_min\n{row}\n", "")
+
+
+def test_closed_pipe_exits_quietly():
+    # the reader takes 40 bytes and closes the pipe: no traceback, and the
+    # status a shell reports for a filter killed by SIGPIPE
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    cmd = [sys.executable, "-m", "spectree.cli", "enumerate", "--n", "16", "--format", "json"]
+    with subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        head = proc.stdout.read(40)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        status = proc.wait()
+    assert head.startswith(b'{"n": 16, "count": 19320, "trees": [')
+    assert (status, err) == (141, b"")
 
 
 def test_beta_rejects_non_tree(capsys):

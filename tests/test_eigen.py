@@ -13,7 +13,6 @@ from spectree.eigen import (
     eigensystem,
     eigenvalues,
     group_spectrum,
-    second_smallest,
     spectra_equal,
     spectrum_from_dict,
     spectrum_from_pairs,
@@ -202,15 +201,6 @@ def test_spectrum_validation():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="finite"):
             Spectrum(pairs=((bad, 1),))
-
-
-def test_second_smallest():
-    s = group_spectrum(np.array([0.0, 0.0, 2.0]))
-    assert second_smallest(s) == 0.0
-    s = group_spectrum(np.array([0.0, 1.5, 2.0]))
-    assert second_smallest(s) == 1.5
-    with pytest.raises(ValueError):
-        second_smallest(group_spectrum(np.array([4.0])))
 
 
 def test_spectra_equal():

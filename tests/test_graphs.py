@@ -32,7 +32,6 @@ from spectree.graphs import (
     is_star,
     is_tree,
     load_graph,
-    min_degree,
     save_graph,
 )
 
@@ -146,8 +145,8 @@ def test_graph_rejects_bad_vertex_count_and_labels():
 def test_degrees_and_min_degree():
     g = from_edge_list(4, [(0, 1), (0, 2), (0, 3)])
     assert degrees(g).tolist() == [3, 1, 1, 1]
-    assert min_degree(g) == 1
-    assert min_degree(complete_graph(4)) == 3
+    assert degrees(g).min() == 1
+    assert degrees(complete_graph(4)).min() == 3
 
 
 def test_connectivity():
@@ -245,6 +244,13 @@ def test_blocks_cover_every_edge_once():
                 assert e not in seen
                 seen.add(e)
         assert seen == set(edge_list(g))
+
+
+def test_long_path_blocks():
+    # deeper than the default recursion limit
+    dec = block_decomposition(path_graph(2000))
+    assert sorted(dec.blocks) == [(i, i + 1) for i in range(1999)]
+    assert dec.cut_vertices == tuple(range(1, 1999))
 
 
 def test_block_decomposition_requires_connected():
