@@ -21,6 +21,7 @@ from .eigen import eigenvalues, group_spectrum, spectrum_to_dict
 from .families import _free_tree_chunks, line_graph, parse_family, tkst_tree
 from .graphs import Graph, is_tree, load_graph
 from .spectra import (
+    _a_beta,
     a_beta_m,
     algebraic_connectivity,
     laplacian,
@@ -181,8 +182,8 @@ def _cmd_export(parser, args) -> int:
     rows = []
     for s in ss:
         for t in ts:
-            for m in ms:
-                rows.append((s, t, m, a_beta_m(tkst_tree(1, s, t), m)))
+            betas = _a_beta(line_graph(tkst_tree(1, s, t))[0].adj[None], ms)
+            rows += [(s, t, m, float(b[0])) for m, b in zip(ms, betas)]
     if args.out == "-":
         _print_rows(rows, ("s", "t", "m", "a_beta"), "csv")
     else:

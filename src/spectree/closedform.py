@@ -79,8 +79,8 @@ def _pendant_bound(d: int, m: int) -> float:
 def star_product_spectrum(n: int, m: int) -> Spectrum:
     """Laplacian spectrum of K_{n-1} x K_m, i.e. of the product of the line
     graph of the star on n vertices with K_m."""
-    _check_ints(3, n=n)
-    _check_ints(2, m=m)
+    (n,) = _check_ints(3, n=n)
+    (m,) = _check_ints(2, m=m)
     lap = [(0, 1), (n - 1, n - 2)]
     q = [((m - 1) * (n - 2) - 1, n - 2), (m * (n - 2), 1)]
     return _product_spectrum(lap, q, m)
@@ -89,7 +89,7 @@ def star_product_spectrum(n: int, m: int) -> Spectrum:
 def t1st_line_laplacian_spectrum(s: int, t: int) -> Spectrum:
     """Laplacian spectrum of L(T(1,s,t)), two cliques K_{s+1}, K_{t+1}
     sharing a vertex: {0, 1, (s+1)^(s-1), (t+1)^(t-1), s+t+1}."""
-    _check_ints(1, s=s, t=t)
+    s, t = _check_ints(1, s=s, t=t)
     return spectrum_from_pairs(_roots([(0, 1), (1, 1), (s + 1, s - 1), (t + 1, t - 1), (s + t + 1, 1)]))
 
 
@@ -110,10 +110,9 @@ class CubicCoeffs:
     c: int = field(init=False)
 
     def __post_init__(self):
-        _check_ints(1, s=self.s, t=self.t)
-        _check_ints(2, m=self.m)
-        # as Python ints, in which numpy integers cannot overflow
-        for name, v in zip("abc", _cubic(int(self.s), int(self.t), int(self.m))):
+        s, t = _check_ints(1, s=self.s, t=self.t)
+        (m,) = _check_ints(2, m=self.m)
+        for name, v in zip("stmabc", (s, t, m, *_cubic(s, t, m))):
             object.__setattr__(self, name, v)
 
     def roots(self) -> tuple[float, float, float]:
@@ -129,9 +128,6 @@ class CubicCoeffs:
         )
         vals = eigenvalues(quot)
         return (float(vals[0]), float(vals[1]), float(vals[2]))
-
-    def integer_roots(self) -> tuple[int, int, int] | None:
-        return integer_roots_of_monic_cubic(self.a, self.b, self.c)
 
 
 def _cubic(s: int, t: int, m: int) -> tuple[int, int, int]:
@@ -164,7 +160,7 @@ def integer_roots_of_monic_cubic(a: int, b: int, c: int) -> tuple[int, int, int]
     x^2 + p x + q and demand a perfect-square discriminant p^2 - 4q; its
     root has p's parity (the squares differ by 4q), so the roots are integers.
     """
-    _check_ints(None, a=a, b=b, c=c)
+    a, b, c = _check_ints(None, a=a, b=b, c=c)
 
     def poly(x: int) -> int:
         return x * x * x - a * x * x + b * x - c
@@ -202,7 +198,8 @@ def integer_roots_of_monic_cubic(a: int, b: int, c: int) -> tuple[int, int, int]
 def is_beta_laplacian_integral(s: int, t: int, m: int) -> bool:
     """Exact integrality of Lap(L(T(1,s,t)) x K_m), cross-checked against
     the numeric eigensolve of the assembled product."""
-    exact = CubicCoeffs(s, t, m).integer_roots() is not None  # checks s, t and m
+    cc = CubicCoeffs(s, t, m)  # checks s, t and m
+    exact = integer_roots_of_monic_cubic(cc.a, cc.b, cc.c) is not None
     vals = eigenvalues(laplacian(beta_m(tkst_tree(1, s, t), m)))
     numeric = spectrum_is_integral(group_spectrum(vals))
     if exact != numeric:
@@ -218,10 +215,9 @@ def is_beta_laplacian_integral(s: int, t: int, m: int) -> bool:
 def windmill_q_quadratic(eta: int, mu: int, m: int) -> tuple[int, int]:
     """(p, q) of the quadratic x^2 - p x + q holding the two non-fixed
     eigenvalues of Q_{m-1}(W(eta, mu))."""
-    _check_ints(2, eta=eta)
-    _check_ints(3, mu=mu)
-    _check_ints(2, m=m)
-    eta, mu, m = int(eta), int(mu), int(m)  # numpy integers would overflow
+    (eta,) = _check_ints(2, eta=eta)
+    (mu,) = _check_ints(3, mu=mu)
+    (m,) = _check_ints(2, m=m)
     p = (m - 1) * (mu - 1) * (eta + 1) + mu - 2
     q = eta * (mu - 1) * ((m - 1) * ((m - 1) * (mu - 1) + mu - 2) - 1)
     return p, q
@@ -230,6 +226,7 @@ def windmill_q_quadratic(eta: int, mu: int, m: int) -> tuple[int, int]:
 def windmill_product_spectrum(eta: int, mu: int, m: int) -> Spectrum:
     """Laplacian spectrum of W(eta, mu) x K_m in closed form."""
     quad = windmill_q_quadratic(eta, mu, m)  # checks eta, mu and m
+    eta, mu, m = _check_ints(None, eta=eta, mu=mu, m=m)
     lap = [(0, 1), (1, eta - 1), (mu, eta * (mu - 2)), (eta * mu - eta + 1, 1)]
     q = [((m - 1) * (mu - 1) - 1, eta * (mu - 2)), (m * (mu - 1) - 1, eta - 1), (quad, 1)]
     return _product_spectrum(lap, q, m)
@@ -246,8 +243,7 @@ def wprime_quadratics(eta: int, mu: int, m: int) -> dict[str, tuple[int, int]]:
     wind2: same role inside Q_{m-1}(W') (multiplicity eta-1 each root),
     wind3: the symmetric-quotient pair of Q_{m-1}(W') (multiplicity 1 each).
     """
-    _check_ints(2, eta=eta, mu=mu, m=m)
-    eta, mu, m = int(eta), int(mu), int(m)  # numpy integers would overflow
+    eta, mu, m = _check_ints(2, eta=eta, mu=mu, m=m)
     base = (m - 1) * (mu + eta - 2)
     col = m * mu - m - 1  # (m-1)(mu-1) + mu - 2
     return {
@@ -259,7 +255,8 @@ def wprime_quadratics(eta: int, mu: int, m: int) -> dict[str, tuple[int, int]]:
 
 def wprime_product_spectrum(eta: int, mu: int, m: int) -> Spectrum:
     """Laplacian spectrum of W'(eta, mu) x K_m in closed form."""
-    quads = wprime_quadratics(eta, mu, m)  # checks eta, mu and m
+    eta, mu, m = _check_ints(2, eta=eta, mu=mu, m=m)
+    quads = wprime_quadratics(eta, mu, m)
     lap = [(0, 1), (mu, 1 + eta * (mu - 2)), (quads["wind1"], eta - 1)]
     q = [((m - 1) * (mu - 1) - 1, eta * (mu - 2)), (quads["wind2"], eta - 1), (quads["wind3"], 1)]
     return _product_spectrum(lap, q, m)
@@ -270,8 +267,9 @@ def wprime_algebraic_connectivity(eta: int, mu: int, m: int) -> float:
 
     Only claimed for eta >= 3, mu >= 3; eta = 2 is rejected (the statement
     does not cover it)."""
-    _check_ints(3, eta=eta, mu=mu)
-    p, q = wprime_quadratics(eta, mu, m)["wind1"]  # checks m
+    eta, mu = _check_ints(3, eta=eta, mu=mu)
+    (m,) = _check_ints(2, m=m)
+    p, q = wprime_quadratics(eta, mu, m)["wind1"]
     return (m - 1) * quad_roots(float(p), float(q))[0]
 
 
@@ -279,7 +277,7 @@ def wprime_algebraic_connectivity(eta: int, mu: int, m: int) -> float:
 
 def book_line_laplacian_spectrum(k: int) -> Spectrum:
     """Laplacian spectrum of the line graph of the book K_{1,k} x-box K_2."""
-    _check_ints(1, k=k)
+    (k,) = _check_ints(1, k=k)
     # the quadratics' discriminants are k^2 + 8 and 4(k^2 - 2k + 2)
     return spectrum_from_pairs(
         _roots([(0, 1), (2, 1), ((2 * k + 4, 6 * k + 2), 1), (k + 2, k - 1), ((k + 4, 2 * k + 2), k - 1)])
@@ -288,5 +286,5 @@ def book_line_laplacian_spectrum(k: int) -> Spectrum:
 
 def book_aconn_bound(k: int, m: int) -> float:
     """(m-1)(k + 4 - sqrt(k^2 + 8))/2, the scaled small root above."""
-    _check_ints(2, k=k, m=m)
+    k, m = _check_ints(2, k=k, m=m)
     return (m - 1) * quad_roots(float(k + 4), float(2 * k + 2))[0]

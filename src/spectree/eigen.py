@@ -102,10 +102,6 @@ class Spectrum:
         vs, ms = zip(*self.pairs)
         return np.repeat(np.array(vs, dtype=np.float64), np.array(ms, dtype=np.int64))
 
-    @property
-    def dimension(self) -> int:
-        return sum(m for _, m in self.pairs)
-
     def __repr__(self):
         inner = ", ".join(f"{v:.6g}^{m}" for v, m in self.pairs)
         return f"Spectrum({inner})"

@@ -7,11 +7,9 @@ Family descriptors use a compact text form, e.g. "path:4", "tkst:1,2,3",
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
-from .graphs import Graph, _bfs, _check_ints, _edge_arrays, from_edge_list, is_tree
+from .graphs import Graph, _bfs, _check_ints, _diametral_path, _edge_arrays, from_edge_list, is_tree
 
 __all__ = [
     "parse_family",
@@ -71,16 +69,7 @@ def star_graph(n: int) -> Graph:
 
 
 def complete_graph(n: int) -> Graph:
-    """K_n. Every call with the same n returns one shared Graph, whose
-    adj is read-only."""
     _check_ints(1, n=n)
-    return _complete_graph(int(n))
-
-
-# keyed after the check: True == 1 as a key, and complete_graph(True)
-# must still raise once K_1 is cached
-@lru_cache(maxsize=16)
-def _complete_graph(n: int) -> Graph:
     return Graph(~np.eye(n, dtype=bool))
 
 
@@ -346,18 +335,11 @@ def tree_canonical_form(tree: Graph) -> str:
     child encodings, rooted at the center (minimum over both centers when
     the tree is bicentral). Equal strings iff isomorphic.
 
-    The centers are the middle of a diametral path, found by two BFS runs:
-    a vertex r farthest from vertex 0 is peripheral, and the path runs from
-    r to a vertex farthest from r. The first BFS also checks that the graph
-    is a tree: connected, with n - 1 edges."""
-    nbrs = tree.neighbors
-    order = _bfs(tree, 0)[0]
-    if len(order) != tree.n or tree.edge_count != tree.n - 1:
+    The centers are the middle of a diametral path."""
+    if not is_tree(tree):
         raise ValueError("canonical form defined for trees")
-    order, up = _bfs(tree, order[-1])
-    path = [order[-1]]
-    while up[path[-1]] != path[-1]:
-        path.append(up[path[-1]])
+    nbrs = tree.neighbors
+    path = _diametral_path(tree)
     c, other = path[(len(path) - 1) // 2], path[len(path) // 2]
 
     def join(kids) -> str:

@@ -137,6 +137,16 @@ def _bfs(g: Graph, s: int) -> tuple[list[int], list[int]]:
     return order, up
 
 
+def _diametral_path(tree: Graph) -> list[int]:
+    # a longest path of a tree, end to end: a vertex r farthest from vertex
+    # 0 is peripheral, and the path runs from a vertex farthest from r to r
+    order, up = _bfs(tree, _bfs(tree, 0)[0][-1])
+    path = [order[-1]]
+    while up[path[-1]] != path[-1]:
+        path.append(up[path[-1]])
+    return path
+
+
 def is_connected(g: Graph) -> bool:
     return len(_bfs(g, 0)[0]) == g.n
 
@@ -271,14 +281,16 @@ def _is_int(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
-def _check_ints(lo: int | None, **values) -> None:
+def _check_ints(lo: int | None, **values) -> tuple[int, ...]:
     """Each value is a size or order: an integer, not a bool, and >= lo;
-    lo None admits any integer. The error names the argument."""
+    lo None admits any integer. The error names the argument. Returns the
+    values as Python ints, which cannot overflow, in argument order."""
     for name, v in values.items():
         if not _is_int(v):
             raise ValueError(f"{name} must be an integer, got {v!r}")
         if lo is not None and v < lo:
             raise ValueError(f"{name} must be >= {lo}, got {v}")
+    return tuple(map(int, values.values()))
 
 
 def load_graph(path) -> Graph:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eigen import Spectrum, eigensystem, eigenvalues, group_spectrum, spectra_equal
-from .families import _kron, complete_graph, line_graph
+from .families import _kron, line_graph
 from .graphs import Graph, _check_ints, is_bipartite, is_connected, is_tree
 
 __all__ = [
@@ -68,7 +68,7 @@ def _q_matrix(adj: np.ndarray, m: int) -> np.ndarray:
 
 def _product_laplacian(adj: np.ndarray, m: int) -> np.ndarray:
     """Laplacian of each X x K_m, X a slice of the stack adj."""
-    return _laplacian(_kron(adj, complete_graph(m).adj))
+    return _laplacian(_kron(adj, ~np.eye(m, dtype=bool)))
 
 
 def product_laplacian_spectrum_direct(g: Graph, m: int) -> Spectrum:

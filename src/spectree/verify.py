@@ -20,6 +20,7 @@ from .closedform import (
     _pendant_bound,
     book_aconn_bound,
     book_line_laplacian_spectrum,
+    integer_roots_of_monic_cubic,
     is_beta_laplacian_integral,
     quad_roots,
     star_product_spectrum,
@@ -45,6 +46,7 @@ from .families import (
 from .graphs import (
     Graph,
     _check_ints,
+    _diametral_path,
     _is_int,
     block_decomposition,
     block_structure_is_star,
@@ -216,28 +218,21 @@ def _double_star(deg: np.ndarray):
 def classify_diam4(tree: Graph):
     """(k, xs) when the tree is a root joined to k branch vertices, the
     i-th carrying xs[i] pendants, with the two largest loads positive.
-    xs comes back sorted descending. None otherwise."""
+    xs comes back sorted descending. None otherwise.
+
+    These are exactly the trees of diameter 4: such a tree holds the path
+    pendant-branch-root-branch-pendant and lies within 2 of the root, and a
+    tree of diameter 4 lies within 2 of its one center, whose neighbours
+    are branches with leaves beyond them, two holding the ends of a
+    diametral path. The root is that path's middle; branch b has deg(b) - 1."""
     if not is_tree(tree):
         raise ValueError("classification requires a tree")
-    deg = degrees(tree)
+    path = _diametral_path(tree)
+    if len(path) != 5:
+        return None
     nbrs = tree.neighbors
-    for c in range(tree.n):
-        if deg[c] < 2:
-            continue
-        xs = []
-        ok = True
-        for b in nbrs[c]:
-            others = [w for w in nbrs[b] if w != c]
-            if any(deg[w] != 1 for w in others):
-                ok = False
-                break
-            xs.append(len(others))
-        if not ok or 1 + len(xs) + sum(xs) != tree.n:
-            continue
-        xs = sorted(xs, reverse=True)
-        if len(xs) >= 2 and xs[1] >= 1:
-            return (len(xs), tuple(xs))
-    return None
+    xs = sorted((len(nbrs[b]) - 1 for b in nbrs[path[2]]), reverse=True)
+    return (len(xs), tuple(xs))
 
 
 # ---- the double-star characterization ----
@@ -366,7 +361,7 @@ def check_corollary_21() -> VerificationReport:
             out.append(_instance(printed, "=", float(s + t - 1), top, informational=True))
             for m in (2, 3):
                 cc = CubicCoeffs(s, t, m)
-                exact = cc.integer_roots()
+                exact = integer_roots_of_monic_cubic(cc.a, cc.b, cc.c)
                 try:  # raises when the exact and numeric verdicts disagree
                     numeric = is_beta_laplacian_integral(s, t, m)
                 except RuntimeError as exc:

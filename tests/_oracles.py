@@ -58,7 +58,14 @@ def random_prufer_tree(rng: np.random.Generator, n: int) -> Graph:
 
 
 def centers_oracle(g: Graph) -> list[int]:
-    """The vertices of least eccentricity, by a BFS from every vertex."""
+    """The vertices of least eccentricity."""
+    ecc = eccentricities_oracle(g)
+    return [v for v in range(g.n) if ecc[v] == min(ecc)]
+
+
+def eccentricities_oracle(g: Graph) -> list[int]:
+    """Each vertex's eccentricity in a connected graph, by a BFS from every
+    vertex."""
     nbrs = [np.flatnonzero(g.adj[v]).tolist() for v in range(g.n)]
 
     def eccentricity(s):
@@ -71,8 +78,7 @@ def centers_oracle(g: Graph) -> list[int]:
                     queue.append(w)
         return max(dist.values())
 
-    ecc = [eccentricity(v) for v in range(g.n)]
-    return [v for v in range(g.n) if ecc[v] == min(ecc)]
+    return [eccentricity(v) for v in range(g.n)]
 
 
 def tree_key_oracle(g: Graph) -> str:

@@ -15,6 +15,7 @@ from spectree.closedform import (
     CubicCoeffs,
     book_aconn_bound,
     book_line_laplacian_spectrum,
+    integer_roots_of_monic_cubic,
     is_beta_laplacian_integral,
     star_product_spectrum,
     windmill_product_spectrum,
@@ -129,13 +130,13 @@ def test_criterion_03_survey_table_spot_rows():
 
 def test_criterion_04_double_star_product_integrality():
     cub = CubicCoeffs(3, 3, 2)
-    assert cub.integer_roots() == (3, 5, 8)
+    assert integer_roots_of_monic_cubic(cub.a, cub.b, cub.c) == (3, 5, 8)
     assert is_beta_laplacian_integral(3, 3, 2) is True
     vals = eigenvalues(laplacian(beta_m(tkst_tree(1, 3, 3), 2)))
     assert np.max(np.abs(vals - np.round(vals))) <= 1e-6
 
     cub = CubicCoeffs(2, 2, 2)
-    assert cub.integer_roots() is None
+    assert integer_roots_of_monic_cubic(cub.a, cub.b, cub.c) is None
     roots = cub.roots()
     for irr in ((7 - math.sqrt(17)) / 2, (7 + math.sqrt(17)) / 2):
         assert min(abs(r - irr) for r in roots) <= 1e-8

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -362,6 +363,14 @@ def test_export_stdout_and_file(capsys, tmp_path):
     )
     assert code == 0 and out == ""
     assert path.read_text().strip().splitlines()[0] == "s,t,m,a_beta"
+
+
+def test_export_bytes(capsys):
+    # one a(L) solve per (s, t) writes the bits of a_beta_m at each m
+    code, out, _ = _run(capsys, ["export", "--s-range", "1:4", "--t-range", "1:4", "--m-range", "2:5"])
+    cells = itertools.product(range(1, 5), range(1, 5), range(2, 6))
+    rows = "".join(f"{s},{t},{m},{a_beta_m(tkst_tree(1, s, t), m)!r}\n" for s, t, m in cells)
+    assert code == 0 and out == "s,t,m,a_beta\n" + rows
 
 
 def test_export_unwritable_out_is_usage_error(capsys, tmp_path):

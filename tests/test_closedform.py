@@ -103,7 +103,7 @@ def test_t1st_line_laplacian_closed_vs_direct():
             direct = group_spectrum(eigenvalues(laplacian(line_graph(tkst_tree(1, s, t))[0])))
             assert spectra_equal(closed, direct, 1e-9)
             assert closed.values()[-1] == s + t + 1  # largest eigenvalue
-            assert closed.dimension == s + t + 1
+            assert len(closed.values()) == s + t + 1
 
 
 def test_cubic_roots_match_numpy():
@@ -196,13 +196,13 @@ def test_windmill_and_wprime_quadratics_divide_the_charpolys():
 def test_cubic_332_is_integral():
     cub = CubicCoeffs(3, 3, 2)
     assert (cub.a, cub.b, cub.c) == (16, 79, 120)
-    assert cub.integer_roots() == (3, 5, 8)
+    assert integer_roots_of_monic_cubic(cub.a, cub.b, cub.c) == (3, 5, 8)
     np.testing.assert_allclose(cub.roots(), [3.0, 5.0, 8.0], atol=1e-9)
 
 
 def test_cubic_coeffs_takes_only_s_t_m():
     # a, b and c are computed from s, t and m, so none of them can be
-    # passed, and roots() and integer_roots() read the same cubic
+    # passed, and roots() and the integer-root test read the same cubic
     cub = CubicCoeffs(3, 3, 2)
     assert CubicCoeffs(3, 3, 2) == cub
     for name in ("a", "b", "c"):
@@ -234,9 +234,39 @@ def test_numpy_integers_give_the_python_int_coefficients():
     assert windmill_q_quadratic(10**6, 10**6, 1000)[1] > 9.9e23
 
 
+def test_closed_forms_take_numpy_integers_of_any_size():
+    # each closed form at parameters where int64 arithmetic overflows gives
+    # what Python ints give, types included; is_beta_laplacian_integral
+    # assembles its graph, which cannot be allocated at these sizes
+    big = 2**31
+    calls = (
+        (star_product_spectrum, (2**32, 2**32)),
+        (t1st_line_laplacian_spectrum, (2**62, 2**62)),
+        (CubicCoeffs, (big, big + 1, big)),
+        (integer_roots_of_monic_cubic, (6 * 10**6, 11 * 10**12, 6 * 10**18)),
+        (windmill_q_quadratic, (big, big, big)),
+        (windmill_product_spectrum, (big, 2**32 + 1, 2)),
+        (wprime_quadratics, (big, big, big)),
+        (wprime_product_spectrum, (big, big, big)),
+        (wprime_algebraic_connectivity, (big, big, big)),
+        (book_line_laplacian_spectrum, (2**62,)),
+        (book_aconn_bound, (2**62, 2**62)),
+    )
+
+    def exact(x):
+        if isinstance(x, Spectrum):
+            return repr(x.pairs)
+        return repr((x, x.roots())) if isinstance(x, CubicCoeffs) else repr(x)
+
+    for fn, args in calls:
+        assert exact(fn(*map(np.int64, args))) == exact(fn(*args)), fn.__name__
+    assert integer_roots_of_monic_cubic(6 * 10**6, 11 * 10**12, 6 * 10**18) == (10**6, 2 * 10**6, 3 * 10**6)
+    assert windmill_product_spectrum(big, 2**32 + 1, 2).pairs[0] == (0.0, 1)
+
+
 def test_cubic_222_is_not_integral():
     cub = CubicCoeffs(2, 2, 2)
-    assert cub.integer_roots() is None
+    assert integer_roots_of_monic_cubic(cub.a, cub.b, cub.c) is None
     want = sorted([3.0, (7 - math.sqrt(17)) / 2, (7 + math.sqrt(17)) / 2])
     np.testing.assert_allclose(cub.roots(), want, atol=1e-9)
 
@@ -263,7 +293,6 @@ def test_integer_roots_of_a_cubic_with_a_large_constant_take_no_time():
     assert (cub.a, cub.b, cub.c) == abc
     start = time.perf_counter()
     assert integer_roots_of_monic_cubic(*abc) is None
-    assert cub.integer_roots() is None
     assert time.perf_counter() - start < 0.25
     # one root at 10**9 and two more 10**9 apart, all integers
     big = (10**9, 2 * 10**9, -(10**9))

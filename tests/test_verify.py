@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import json
 import re
 
@@ -18,6 +19,7 @@ from spectree.families import (
     path_graph,
     star_graph,
     tkst_tree,
+    tree_canonical_form,
 )
 from spectree.graphs import degrees, edge_list, from_edge_list, is_star
 from spectree.spectra import ROUTE_TOL, a_beta_m, product_connected
@@ -37,7 +39,7 @@ from spectree.verify import (
     run_claim,
 )
 
-from _oracles import double_star_oracle, prufer_to_tree
+from _oracles import double_star_oracle, eccentricities_oracle, prufer_to_tree
 from _strategies import PROPERTY
 
 
@@ -70,6 +72,29 @@ def test_classify_diam4():
     assert classify_diam4(_relabel(diam4_tree(3, (2, 2, 1)), perm)) == (3, (2, 2, 1))
     with pytest.raises(ValueError):
         classify_diam4(complete_graph(4))
+
+
+def test_classify_diam4_reads_back_every_pattern():
+    # every (k, xs), xs descending with xs[1] >= 1, on at most 12 vertices,
+    # in a random labelling
+    rng = np.random.default_rng(4)
+    patterns = 0
+    for k in range(2, 10):
+        for xs in itertools.combinations_with_replacement(range(11 - k, -1, -1), k):
+            if xs[1] >= 1 and 1 + k + sum(xs) <= 12:
+                tree = diam4_tree(k, xs)
+                assert classify_diam4(_relabel(tree, rng.permutation(tree.n).tolist())) == (k, xs)
+                patterns += 1
+    assert patterns == sum(max(eccentricities_oracle(t)) == 4 for n in range(5, 13) for t in enumerate_free_trees(n))
+
+
+def test_classify_diam4_matches_exactly_the_trees_of_diameter_4():
+    for n in range(1, 13):
+        for tree in enumerate_free_trees(n):
+            cls = classify_diam4(tree)
+            assert (cls is not None) == (max(eccentricities_oracle(tree)) == 4), edge_list(tree)
+            if cls is not None:
+                assert tree_canonical_form(diam4_tree(*cls)) == tree_canonical_form(tree)
 
 
 # ---- report plumbing ----
