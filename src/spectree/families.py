@@ -263,23 +263,38 @@ def _free_tree_chunks(n: int):
     return len(levels), chunks()
 
 
+# byte tables that add 1 to or take 1 from every level of a level sequence;
+# the generator adds 1 only to levels 1..254 and takes 1 only from 2..255
+_UP = bytes((x + 1) % 256 for x in range(256))
+_DOWN = bytes((x - 1) % 256 for x in range(256))
+
+
 def _free_tree_levels(n: int) -> np.ndarray:
-    """One representative of each unlabeled tree on n vertices, as a
+    """One representative of each unlabeled tree on n vertices, as a fresh
     (count, n) uint8 array of preorder level sequences sorted by canonical
-    encoding.
+    encoding. n <= 511, so that the path's center level n // 2 fits in a
+    byte.
 
     The trees come from the free-tree generator of Wright, Richmond,
     Odlyzko and McKay (SIAM J. Comput. 15, 1986), which emits each free
     tree exactly once as a canonical level sequence rooted at a center. It
-    runs the Beyer-Hedetniemi successor rule on one list, starting from the
-    path rooted at its center. With m the index of the root's second child,
-    the sequence is kept when the rest of the tree is higher than the left
-    subtree 1..m-1, or as high and (m - 1, left) <= (n - m + 1, rest).
+    runs the Beyer-Hedetniemi successor rule on one bytearray, starting from
+    the path rooted at its center. With m the index of the root's second
+    child, the sequence is kept when the rest of the tree is higher than the
+    left subtree 1..m-1, or as high and (m - 1, left) <= (n - m + 1, rest).
     Otherwise no sequence with the same left subtree is kept, and the
     generator jumps past them all: the successor rule runs from the left
     subtree's last vertex, and when that vertex lay below level 2 the tail
     becomes the path 1, 2, .., h, which makes the rest higher than the new
     left subtree of height h - 1.
+
+    The rest's height is read off by containment, not by a maximum: a
+    preorder segment that starts at level 1, as the rest seq[m:] does, goes
+    at most one level deeper at each step, so it holds every level from 1
+    down to its deepest. The rest is then higher than a left subtree of
+    height left >= 0 iff it holds level left + 1, and as high iff it holds
+    level left but not left + 1. n = 1 and 2 have no rest, and return
+    their one path.
 
     Equal heights mean two centers, vertex 0 and vertex 1. Rooted at vertex
     1, the old root's subtree is the unique deepest child, so it comes
@@ -289,18 +304,26 @@ def _free_tree_levels(n: int) -> np.ndarray:
     writes ")").
     """
     _check_ints(1, n=n)
-    seq = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
+    if n > 511:
+        raise ValueError(
+            f"n must be <= 511, got {n}: the free trees' level rows are uint8, and the path on "
+            "n vertices has its center at level n // 2"
+        )
+    if n <= 2:
+        return np.arange(n, dtype=np.uint8)[None]
+    seq = bytearray(range(n // 2 + 1)) + bytearray(range(1, (n + 1) // 2))
     kept = bytearray()
     while True:
-        # the heights of the left subtree, -1 when empty (n = 1), and of the rest
-        m = next((v for v in range(2, n) if seq[v] == 1), n)
-        left, rest = max(seq[1:m], default=0) - 1, max(seq[m:], default=0)
-        # (m - 1, left) <= (n - m + 1, rest), both lists one level up
-        if rest > left or rest == left and (m - 1, seq[1:m]) <= (n - m + 1, [1] + [x + 1 for x in seq[m:]]):
-            if rest == left:
-                kept += bytes(max(seq, [0, 1] + [x + 1 for x in seq[m:]] + [x - 1 for x in seq[2:m]]))
-            else:
-                kept += bytes(seq)
+        m = seq.find(1, 2)
+        if m < 0:
+            m = n
+        # the height of the left subtree, and the rest of the tree
+        left, rest = max(seq[1:m]) - 1, seq[m:]
+        higher = left + 1 in rest
+        # (m - 1, left) <= (n - m + 1, rest), the rest one level deeper so
+        # that both hang from level 1
+        if higher or left in rest and (m - 1, seq[1:m]) <= (n - m + 1, b"\1" + rest.translate(_UP)):
+            kept += seq if higher else max(seq, b"\0\1" + rest.translate(_UP) + seq[2:m].translate(_DOWN))
             p = n - 1
             while seq[p] == 1:
                 p -= 1
@@ -312,22 +335,22 @@ def _free_tree_levels(n: int) -> np.ndarray:
             tall = seq[p] > 2
             _successor(seq, p)
             if tall:
-                m = next((v for v in range(2, n) if seq[v] == 1), n)
-                h = max(seq[1:m])
+                # the block repeated below a vertex deeper than level 2 holds
+                # no level 1, so vertex 1's subtree is now the whole tree
+                h = max(seq)
                 seq[n - h:] = range(1, h + 1)
     seqs = np.frombuffer(kept, dtype=np.uint8).reshape(-1, n)
     return seqs[np.lexsort(~seqs.T[::-1])]
 
 
-def _successor(seq: list[int], p: int) -> None:
+def _successor(seq: bytearray, p: int) -> None:
     """The Beyer-Hedetniemi successor of a level sequence, in place, from
-    vertex p on: with q the parent of p, the block q..p-1 repeats from p to
-    the end."""
-    q = p - 1
-    while seq[q] != seq[p] - 1:
-        q -= 1
-    for v in range(p, len(seq)):
-        seq[v] = seq[v - p + q]
+    vertex p on: with q the parent of p, the last vertex before p one
+    level up, the block q..p-1 repeats from p to the end, written by one
+    slice copy."""
+    q = seq.rfind(seq[p] - 1, 0, p)
+    k, tail = p - q, len(seq) - p
+    seq[p:] = (seq[q:p] * (tail // k + 1))[:tail]
 
 
 def tree_canonical_form(tree: Graph) -> str:

@@ -314,6 +314,20 @@ def test_enumerate_rejects_a_row_that_is_not_a_tree(capsys, monkeypatch, reader,
             read(8)
 
 
+def test_enumerate_names_the_uint8_bound_on_n(capsys, monkeypatch):
+    # the level rows are uint8: n >= 512 is refused before the generator
+    # takes its first successor step, which would fail the run here
+    def started(seq, p):
+        raise AssertionError("the generator started")
+
+    monkeypatch.setattr(families, "_successor", started)
+    problem = (
+        "n must be <= 511, got 512: the free trees' level rows are uint8, and the path on "
+        "n vertices has its center at level n // 2"
+    )
+    assert _run(capsys, ["enumerate", "--n", "512"]) == (1, "", f"error: {problem}\n")
+
+
 def test_enumerate_writes_the_same_bytes_in_chunks(capsys, monkeypatch):
     # enumerate builds and writes at most one chunk of trees' edge lists
     # at once, and any chunk size writes the same bytes

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import re
 
@@ -354,6 +355,59 @@ def test_kronecker_with_k2_of_bipartite_disconnects():
 def test_free_tree_counts():
     for n, want in enumerate(FREE_TREE_COUNTS, start=1):
         assert len(enumerate_free_trees(n)) == want
+
+
+# free trees on 1..18 vertices (OEIS A000055); past n = 12 only the
+# generator's level rows are counted
+LEVEL_ROW_COUNTS = FREE_TREE_COUNTS + (1301, 3159, 7741, 19320, 48629, 123867)
+
+# SHA-256 of _free_tree_levels(n).tobytes(): every row and the row order
+LEVEL_ROW_DIGESTS = {
+    16: "be5f96af39d6e4009bd364e660b2075cbab4de9b717ce15d7903a3879d745d7f",
+    18: "723f7b776116c8c93a0ee9895f548bf7393c8b94ded18fb9f2328694ff10154b",
+}
+
+
+def test_free_tree_level_rows_are_pinned():
+    # the generator's own rows, past the n <= 15 that the enumerate goldens
+    # pin through the CLI
+    assert families._free_tree_levels(1).tolist() == [[0]]
+    assert families._free_tree_levels(2).tolist() == [[0, 1]]
+    for n, want in enumerate(LEVEL_ROW_COUNTS, start=1):
+        rows = families._free_tree_levels(n)
+        assert (rows.shape, rows.dtype) == ((want, n), np.uint8), n
+        if n in LEVEL_ROW_DIGESTS:
+            assert hashlib.sha256(rows.tobytes()).hexdigest() == LEVEL_ROW_DIGESTS[n], n
+
+
+@pytest.mark.parametrize("n", [1, 2, 7])
+def test_free_tree_level_rows_are_fresh_and_writable(n):
+    # callers may write into the rows they get without touching another call's
+    a, b = families._free_tree_levels(n), families._free_tree_levels(n)
+    assert a.flags.writeable and b.flags.writeable and not np.shares_memory(a, b)
+    a[:] = 9
+    assert b.tolist() == families._free_tree_levels(n).tolist()
+
+
+def test_free_tree_levels_name_the_uint8_bound(monkeypatch):
+    # n = 511 passes the check and starts the generator, stopped here at
+    # its first successor step; n = 512 is refused before it starts
+    class Started(Exception):
+        pass
+
+    def started(seq, p):
+        raise Started
+
+    monkeypatch.setattr(families, "_successor", started)
+    with pytest.raises(Started):
+        families._free_tree_levels(511)
+    problem = (
+        "n must be <= 511, got 512: the free trees' level rows are uint8, and the path on "
+        "n vertices has its center at level n // 2"
+    )
+    for read in (families._free_tree_levels, enumerate_free_trees):
+        with pytest.raises(ValueError, match=f"^{re.escape(problem)}$"):
+            read(512)
 
 
 def test_enumerated_trees_are_trees_and_distinct():
